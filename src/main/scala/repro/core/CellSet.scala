@@ -105,6 +105,10 @@ object CellSet {
     false
   }
 
+  /** Reject a connectivity threshold that is negative or NaN. */
+  def requireDelta(delta: Double): Unit =
+    require(delta >= 0, s"delta must be a number >= 0, got $delta")
+
   /** Grid coordinates of each cell packed as (x:32|y:32) — decode once,
     * probe many times (the greedy CJSP loop re-tests the same datasets
     * every round).
@@ -128,6 +132,7 @@ object CellSet {
     * Used by the greedy CJSP variants, whose merged sets grow large.
     */
   final class NeighborIndex(cells: Array[Long], delta: Double) extends Serializable {
+    requireDelta(delta)
     private val b = math.max(1, math.ceil(delta).toInt)
     private val d2max = delta * delta
     // bucket key (bx:32|by:32) → packed coords (x:32|y:32) of member cells.

@@ -12,7 +12,7 @@ import scala.collection.mutable
   * Search processes query cells in ascending posting-list-frequency order
   * (rarest first). After i of n cells, any dataset not yet touched can
   * reach overlap at most n − i, so once the top-k heap is full with
-  * k-th best ≥ n − i the scan stops early — JOSIE's distribution-dependent
+  * k-th best > n − i the scan stops early — JOSIE's distribution-dependent
   * behaviour that the paper contrasts with DITS.
   */
 final class JosieIndex {
@@ -71,10 +71,11 @@ final class JosieIndex {
       }
       processed += 1
       // Early termination: unseen datasets can score at most the number of
-      // unprocessed query cells.
+      // unprocessed query cells; one that ties the k-th may have a smaller
+      // id, so stop only when the k-th is strictly ahead.
       if (counts.size >= k) {
         val kth = counts.valuesIterator.toSeq.sorted(Ordering[Int].reverse)(k - 1)
-        if (kth >= ordered.length - processed) {
+        if (kth > ordered.length - processed) {
           // Seen candidates may still grow, so finish counting only them.
           val seen = counts.keySet.toSet
           while (processed < ordered.length) {

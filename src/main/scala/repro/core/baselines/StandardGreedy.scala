@@ -25,14 +25,16 @@ object StandardGreedy {
     */
   def sg(datasets: Seq[(Int, Array[Long])], query: Array[Long],
          delta: Double, k: Int): CoverageResult = {
+    CellSet.requireDelta(delta)
     var covered = CellSet.of(query)
     val members = mutable.ArrayBuffer(new CellSet.NeighborIndex(covered, delta))
     val picked = mutable.ArrayBuffer.empty[Int]
     val pickedIds = mutable.HashSet.empty[Int]
     // Decode every dataset's grid coordinates once: every round re-probes
     // the full collection (this is exactly why SG is slow — but there is
-    // no reason to also re-decode).
-    val packed = datasets.map { case (id, cells) => (id, cells, CellSet.packXY(cells)) }
+    // no reason to also re-decode). Scanning in id order makes the first
+    // of equal gains the smaller id, whatever the input order.
+    val packed = datasets.sortBy(_._1).map { case (id, cells) => (id, cells, CellSet.packXY(cells)) }
 
     var it = 0
     var exhausted = false
@@ -65,7 +67,9 @@ object StandardGreedy {
     * FindConnectSet per member of R per round (no merge strategy).
     */
   def sgDits(index: DitsLocal, query: Array[Long], delta: Double, k: Int): CoverageResult = {
+    CellSet.requireDelta(delta)
     var covered = CellSet.of(query)
+    if (covered.isEmpty) return CoverageResult(Nil, 0)
     // Members tracked as (rect, tester) for the tree search per member.
     val members = mutable.ArrayBuffer(
       (CellSet.mbr(covered), new CellSet.NeighborIndex(covered, delta)))

@@ -8,19 +8,31 @@ import scala.collection.mutable
   */
 final case class CoverageResult(picked: Seq[Int], coverage: Int)
 
-/** Algorithm 3 — CoverageSearch: greedy with *spatial merge*.
+/** Algorithm 3 — CoverageSearch: greedy with *spatial merge*, evaluated
+  * incrementally.
   *
-  * The result set starts as the query. Each of the k iterations runs ONE
-  * tree search (FindConnectSet) from the merged node `N_M` — the union of
-  * everything picked so far — using the Lemma 4 distance bounds:
+  * Each pick must be directly connected to the merged set `N_M` (the query
+  * plus everything picked so far). FindConnectSet searches the tree with
+  * the Lemma 4 distance bounds:
   *
   *   lb = max(‖p_N, p_M‖ − r_N − r_M, 0)   ub = ‖p_N, p_M‖ + r_N + r_M
   *
   * Subtrees with `ub ≤ δ` are connected wholesale; subtrees with `lb > δ`
-  * are pruned; leaves in between verify the exact cell-set distance. The
-  * candidate with maximum marginal gain (Eq. 3) is picked, with the
-  * `|S_D| > τ` cardinality filter skipping datasets that cannot beat the
-  * best gain found so far.
+  * are pruned; leaves in between verify the exact cell-set distance.
+  *
+  * Since dist(S, A ∪ B) = min(dist(S, A), dist(S, B)), the datasets
+  * connected to the merged set are those connected to the query plus those
+  * connected to some pick. So the candidate pool (the *frontier*) starts
+  * with one FindConnectSet from the query and grows by one FindConnectSet
+  * from each new pick's own small MBR, skipping datasets already in it.
+  *
+  * The pick is the pooled dataset of maximum marginal gain (Eq. 3), ties to
+  * the smaller id, chosen lazily (CELF): the pool sits in a max-heap on
+  * (gain desc, id asc) whose gains may be from earlier rounds. The gain
+  * `|S_D \ R|` never rises as R grows, so a stale gain is an upper bound:
+  * a stale top is re-evaluated and pushed back, and a top whose gain is
+  * from the current round beats every other entry, ties included. The
+  * picks are thus exactly those of the per-round greedy (SG).
   *
   * Because every pick is directly connected to the *merged* set, the
   * result is directly-or-indirectly connected to the query (Defs. 7–9).
@@ -42,18 +54,20 @@ object CoverageSearch {
     findConnected(root, mergedRect, new CellSet.NeighborIndex(mergedCells, delta), delta, out)
 
   /** FindConnectSet against a prebuilt δ-connectivity tester (reused when
-    * the same merged set probes several subtrees).
+    * the same merged set probes several subtrees). Datasets whose id is
+    * `known` are skipped before the exact test and left out of `out`.
     */
   def findConnected(root: TreeNode, mergedRect: MBR, merged: CellSet.NeighborIndex,
-                    delta: Double, out: mutable.ArrayBuffer[DatasetNode]): Unit = {
+                    delta: Double, out: mutable.ArrayBuffer[DatasetNode],
+                    known: Int => Boolean = _ => false): Unit = {
     val mp = mergedRect.pivot; val mr = mergedRect.radius
     def go(n: TreeNode): Unit = {
       val (lb, ub) = distBounds(n.pivot, n.radius, mp, mr)
-      if (ub <= delta) n.datasets.foreach(out += _) // whole subtree connected
+      if (ub <= delta) n.datasets.foreach(d => if (!known(d.id)) out += d) // whole subtree connected
       else if (lb <= delta) n match {
         case l: Leaf =>
           l.children.foreach { d =>
-            if (merged.connectedToPacked(d.packedXY)) out += d
+            if (!known(d.id) && merged.connectedToPacked(d.packedXY)) out += d
           }
         case i: Internal => go(i.left); go(i.right)
       }
@@ -61,38 +75,45 @@ object CoverageSearch {
     go(root)
   }
 
+  /** A pooled candidate and its marginal gain as of round `round`. */
+  private final class Entry(val d: DatasetNode, var gain: Int, var round: Int)
+
+  /** Max-heap order: larger gain first, then the smaller id. */
+  private val byGainThenId: Ordering[Entry] = (a, b) =>
+    if (a.gain != b.gain) Integer.compare(a.gain, b.gain) else Integer.compare(b.d.id, a.d.id)
+
   /** Greedy coverage search (Algorithm 3). Stops early when no unpicked
-    * connected dataset remains.
+    * connected dataset remains; an empty query covers nothing.
     */
   def search(index: DitsLocal, queryCells: Array[Long], delta: Double, k: Int): CoverageResult = {
     require(k > 0, "k must be positive")
+    CellSet.requireDelta(delta)
     var covered = CellSet.of(queryCells)
-    var mergedRect = CellSet.mbr(covered)
+    if (covered.isEmpty) return CoverageResult(Nil, 0)
     val picked = mutable.ArrayBuffer.empty[Int]
-    val pickedIds = mutable.HashSet.empty[Int]
+    val pooled = mutable.HashSet.empty[Int]
+    val heap = mutable.PriorityQueue.empty[Entry](byGainThenId)
+    // Pool every dataset directly connected to `cells` and not pooled yet.
+    def grow(rect: MBR, cells: Array[Long]): Unit = {
+      val found = mutable.ArrayBuffer.empty[DatasetNode]
+      findConnected(index.root, rect, new CellSet.NeighborIndex(cells, delta), delta, found, pooled)
+      found.foreach { d =>
+        pooled += d.id
+        heap.enqueue(new Entry(d, CellSet.marginalGain(d.cells, covered), picked.length))
+      }
+    }
 
-    var it = 0
-    var exhausted = false
-    while (it < k && !exhausted) {
-      val cand = mutable.ArrayBuffer.empty[DatasetNode]
-      findConnected(index.root, mergedRect, covered, delta, cand)
-      var tau = -1
-      var best: DatasetNode = null
-      // Deterministic: scan in id order so gain ties keep the smaller id.
-      cand.sortBy(_.id).foreach { d =>
-        if (!pickedIds.contains(d.id) && d.cells.length > tau) { // |S_D| ≤ τ ⇒ g ≤ τ
-          val g = CellSet.marginalGain(d.cells, covered)
-          if (g > tau) { tau = g; best = d }
-        }
+    grow(CellSet.mbr(covered), covered)
+    while (picked.length < k && heap.nonEmpty) {
+      val e = heap.dequeue()
+      if (e.round < picked.length) { // stale: re-evaluate against R
+        e.gain = CellSet.marginalGain(e.d.cells, covered); e.round = picked.length
+        heap.enqueue(e)
+      } else {
+        picked += e.d.id
+        covered = CellSet.union(covered, e.d.cells)
+        if (picked.length < k) grow(e.d.rect, e.d.cells)
       }
-      if (best == null) exhausted = true
-      else {
-        picked += best.id
-        pickedIds += best.id
-        covered = CellSet.union(covered, best.cells)
-        mergedRect = mergedRect.union(best.rect)
-      }
-      it += 1
     }
     CoverageResult(picked.toSeq, covered.length)
   }

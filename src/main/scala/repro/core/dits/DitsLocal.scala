@@ -16,6 +16,15 @@ import scala.collection.mutable
 final class DitsLocal private (var root: TreeNode, val capacity: Int)
     extends Serializable {
 
+  /** id → indexed dataset node; ids are unique within one index. */
+  private val byId = mutable.HashMap.empty[Int, DatasetNode]
+  root.datasets.foreach(register)
+
+  private def register(d: DatasetNode): Unit = {
+    require(!byId.contains(d.id), s"dataset ${d.id} already indexed")
+    byId(d.id) = d
+  }
+
   /** All dataset nodes currently indexed. */
   def datasets: Iterator[DatasetNode] = root.datasets
   def size: Int = root.size
@@ -40,9 +49,10 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
 
   /** Appendix C insert: descend to the leaf whose pivot is nearest, add
     * the dataset node, split the leaf if it overflows, and refresh MBRs up
-    * to the root.
+    * to the root. An id that is already indexed is rejected.
     */
   def insert(d: DatasetNode): Unit = {
+    register(d)
     var n = root
     while (!n.isLeaf) {
       val i = n.asInstanceOf[Internal]
@@ -60,11 +70,11 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
     */
   def update(d: DatasetNode): Unit = { delete(d.id); insert(d) }
 
-  /** Appendix C delete: remove the dataset node from its leaf and refresh
-    * ancestor MBRs.
+  /** Appendix C delete: find the node by id, remove it from its leaf and
+    * refresh ancestor MBRs.
     */
   def delete(id: Int): Unit = {
-    val d = datasets.find(_.id == id)
+    val d = byId.remove(id)
       .getOrElse(throw new NoSuchElementException(s"dataset $id not indexed"))
     val leaf = d.parent
     leaf.remove(d)

@@ -16,7 +16,6 @@ final class CommStats extends Serializable {
   def total: Long = bytesSent + bytesReceived
 
   def sendCells(n: Int): Unit = { messages += 1; bytesSent += 8L * n + CommStats.HeaderBytes }
-  def sendDoubles(n: Int): Unit = { messages += 1; bytesSent += 8L * n + CommStats.HeaderBytes }
   def receiveHits(n: Int): Unit = { messages += 1; bytesReceived += 8L * n + CommStats.HeaderBytes }
   def receiveCells(n: Int): Unit = { messages += 1; bytesReceived += 8L * n + CommStats.HeaderBytes }
 

@@ -15,9 +15,6 @@ final class SourceNode(val sourceId: Int, val grid: Grid,
     extends Serializable {
 
   val index: DitsLocal = DitsLocal.build(datasetsIn, capacity)
-  private val byId: Map[Int, Array[Long]] = datasetsIn.toMap
-
-  def cellsOf(id: Int): Array[Long] = byId(id)
 
   /** Root summary sent to the data center after index construction. */
   def summary: SourceSummary = SourceSummary.of(sourceId, index, grid)
@@ -61,8 +58,4 @@ final class SourceNode(val sourceId: Int, val grid: Grid,
   private def centreLonLat(d: DatasetNode, c: Long): (Double, Double) = {
     val r = grid.cellRect(c); (r.pivot.x, r.pivot.y)
   }
-
-  /** Lon/lat centres of a dataset's cells (result shipping). */
-  def cellsLonLat(id: Int): Array[(Double, Double)] =
-    byId(id).map { c => val r = grid.cellRect(c); (r.pivot.x, r.pivot.y) }
 }

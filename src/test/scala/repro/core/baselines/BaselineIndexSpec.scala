@@ -139,4 +139,15 @@ class BaselineIndexSpec extends AnyFunSuite {
     val query = CellSet.of(hot +: Array.tabulate(4)(j => Grid.interleave(10 + 7, 10 + j)))
     assert(ix.overlapTopK(query, 5) == BruteForce.overlapTopK(ds, query, 5))
   }
+
+  test("Josie early termination keeps an unseen dataset that ties the k-th with a smaller id") {
+    // Q = {a, b}, both cells equally rare; dataset 5 = {a} is counted first.
+    // After cell a the k-th overlap (1) only ties what dataset 1 = {b} can
+    // still reach, and the tie goes to the smaller id.
+    val a = Grid.interleave(0, 0); val b = Grid.interleave(1, 0)
+    val ds = IndexedSeq(5 -> Array(a), 1 -> Array(b))
+    val query = CellSet.of(Seq(a, b))
+    assert(BruteForce.overlapTopK(ds, query, 1) == Seq(OverlapHit(1, 1)))
+    assert(JosieIndex.build(ds).overlapTopK(query, 1) == Seq(OverlapHit(1, 1)))
+  }
 }

@@ -1,13 +1,14 @@
 package repro.core.dits
 
+import org.scalacheck.{Gen, Prop, Test => PropTest}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{CellSet, Grid, SynthSpatial}
 import repro.core.baselines.{BruteForce, StandardGreedy}
 import scala.util.Random
 
-/** CoverageSearch (Algorithm 3): greedy equivalence with SG / SG+DITS,
-  * connectivity of results, and the (1 − 1/e) guarantee in the
-  * unconstrained regime.
+/** CoverageSearch (Algorithm 3): greedy equivalence with SG / SG+DITS on
+  * fixed seeds and generated inputs, connectivity of results, degenerate
+  * inputs, and the (1 − 1/e) guarantee in the unconstrained regime.
   */
 class CoverageSearchSpec extends AnyFunSuite {
 
@@ -149,5 +150,83 @@ class CoverageSearchSpec extends AnyFunSuite {
     val query = ds(5)._2
     assert(CoverageSearch.search(ix, query, 5.0, 10) ==
            StandardGreedy.sg(ds, query, 5.0, 10))
+  }
+
+  test("equal gains go to the smaller id whatever the input order") {
+    val q = CellSet.of(Seq(Grid.interleave(0, 0)))
+    val ds = IndexedSeq(7 -> CellSet.of(Seq(Grid.interleave(1, 0))),
+                        3 -> CellSet.of(Seq(Grid.interleave(0, 1))))
+    val ix = DitsLocal.build(ds, 2)
+    val expected = CoverageResult(Seq(3), 2)
+    assert(CoverageSearch.search(ix, q, 1.0, 1) == expected)
+    assert(StandardGreedy.sg(ds, q, 1.0, 1) == expected)
+    assert(StandardGreedy.sgDits(ix, q, 1.0, 1) == expected)
+  }
+
+  test("an empty query covers nothing") {
+    val ds = randomDatasets(5, 10)
+    val ix = DitsLocal.build(ds, 4)
+    val none = CoverageResult(Nil, 0)
+    assert(CoverageSearch.search(ix, Array.emptyLongArray, 3.0, 4) == none)
+    assert(StandardGreedy.sg(ds, Array.emptyLongArray, 3.0, 4) == none)
+    assert(StandardGreedy.sgDits(ix, Array.emptyLongArray, 3.0, 4) == none)
+  }
+
+  for (delta <- Seq(-2.0, -0.5, Double.NaN)) {
+    test(s"δ=$delta is rejected by every CJSP engine and by NeighborIndex") {
+      val ds = randomDatasets(6, 10)
+      val ix = DitsLocal.build(ds, 4)
+      val q = ds.head._2
+      intercept[IllegalArgumentException](CoverageSearch.search(ix, q, delta, 3))
+      intercept[IllegalArgumentException](StandardGreedy.sg(ds, q, delta, 3))
+      intercept[IllegalArgumentException](StandardGreedy.sgDits(ix, q, delta, 3))
+      intercept[IllegalArgumentException](new CellSet.NeighborIndex(q, delta))
+    }
+  }
+
+  /** A generated CJSP instance; arrays print as cell coordinates. */
+  private final case class Instance(ds: IndexedSeq[(Int, Array[Long])], query: Array[Long],
+                                    delta: Double, k: Int, capacity: Int) {
+    private def show(cs: Array[Long]) = cs.map(Grid.deinterleave).mkString("{", " ", "}")
+    override def toString: String =
+      s"δ=$delta k=$k f=$capacity query=${show(query)} " +
+        ds.map { case (id, cs) => s"$id:${show(cs)}" }.mkString(" ")
+  }
+
+  /** Tiny grids (so much is connected), few small datasets (so gains tie),
+    * copies of earlier datasets under other ids, ids in shuffled order, an
+    * occasional empty query, δ from 0 to unconstrained and k at 1, n and
+    * beyond n.
+    */
+  private val instances: Gen[Instance] = for {
+    span <- Gen.oneOf(2, 4, 8, 16)
+    cell = Gen.zip(Gen.choose(0, span - 1), Gen.choose(0, span - 1)).map { case (x, y) => Grid.interleave(x, y) }
+    n <- Gen.choose(1, 12)
+    ids <- Gen.pick(n, 0 until 40)
+    idOrder <- Gen.long
+    fresh <- Gen.listOfN(n, Gen.choose(1, 5).flatMap(Gen.listOfN(_, cell)))
+    copyOf <- Gen.listOfN(n, Gen.frequency(3 -> Gen.const(-1), 1 -> Gen.choose(0, n - 1)))
+    qSize <- Gen.frequency(1 -> Gen.const(0), 9 -> Gen.choose(1, 4))
+    query <- Gen.listOfN(qSize, cell)
+    delta <- Gen.oneOf(0.0, 1.0, 1.5, 1e9)
+    k <- Gen.oneOf(1, n, n + 3)
+    capacity <- Gen.oneOf(2, 3, 5)
+  } yield {
+    val cells = fresh.map(CellSet.of(_)).toArray
+    for (i <- 0 until n if copyOf(i) >= 0 && copyOf(i) < i) cells(i) = cells(copyOf(i))
+    val shuffled = new Random(idOrder).shuffle(ids.toIndexedSeq)
+    Instance(shuffled.zip(cells), CellSet.of(query), delta, k, capacity)
+  }
+
+  test("CoverageSearch ≡ SG ≡ SG+DITS on generated inputs (property)") {
+    val prop = Prop.forAll(instances) { in =>
+      val ix = DitsLocal.build(in.ds, in.capacity)
+      val a = CoverageSearch.search(ix, in.query, in.delta, in.k)
+      val b = StandardGreedy.sg(in.ds, in.query, in.delta, in.k)
+      val c = StandardGreedy.sgDits(ix, in.query, in.delta, in.k)
+      Prop(a == b) :| s"CoverageSearch=$a SG=$b" && Prop(a == c) :| s"CoverageSearch=$a SG+DITS=$c"
+    }
+    val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(1000), prop)
+    assert(res.passed, res.status.toString)
   }
 }

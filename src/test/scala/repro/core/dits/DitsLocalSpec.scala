@@ -131,4 +131,31 @@ class DitsLocalSpec extends AnyFunSuite {
     checkInvariants(ix, ds.toMap)
     assert(ix.nodeCount > 12, "expected an actual tree, not one leaf")
   }
+
+  test("build rejects a duplicate dataset id") {
+    val ds = randomDatasets(21, 6)
+    intercept[IllegalArgumentException](DitsLocal.build(ds :+ (ds(2)._1 -> ds(4)._2), 4))
+  }
+
+  test("insert rejects an id that is already indexed, and leaves the index unchanged") {
+    val ds = randomDatasets(22, 12)
+    val ix = DitsLocal.build(ds, 4)
+    intercept[IllegalArgumentException](ix.insert(DatasetNode(ds(3)._1, ds(7)._2)))
+    checkInvariants(ix, ds.toMap)
+    ix.delete(ds(3)._1) // finds the indexed node, not the rejected one
+    checkInvariants(ix, ds.toMap - ds(3)._1)
+  }
+
+  test("delete finds nodes placed by insert and update; a deleted id can come back") {
+    val ds = randomDatasets(23, 30)
+    val ix = DitsLocal.build(ds, 3)
+    val extra = randomDatasets(24, 10).map { case (id, cs) => (500 + id, cs) }
+    extra.foreach { case (id, cs) => ix.insert(DatasetNode(id, cs)) }
+    val changed = ds(5)._1 -> extra(0)._2
+    ix.update(DatasetNode(changed._1, changed._2))
+    (extra.take(6).map(_._1) :+ ds(5)._1 :+ ds(9)._1).foreach(ix.delete)
+    intercept[NoSuchElementException](ix.delete(ds(9)._1))
+    ix.insert(DatasetNode(ds(9)._1, ds(9)._2))
+    checkInvariants(ix, (ds.toMap - ds(5)._1) ++ extra.drop(6).toMap)
+  }
 }
