@@ -23,10 +23,13 @@ final case class Grid(theta: Int, space: MBR) extends Serializable {
   private def clamp(i: Int): Int = if (i < 0) 0 else if (i >= side) side - 1 else i
 
   /** Integer grid coordinates of the cell containing lon/lat point (x, y).
-    * Points on the max edge are clamped into the last cell.
+    * Points on or beyond an edge (±∞ included) are clamped into the edge
+    * cell; a NaN coordinate is rejected.
     */
-  def cellCoords(x: Double, y: Double): (Int, Int) =
+  def cellCoords(x: Double, y: Double): (Int, Int) = {
+    require(x == x && y == y, "NaN coordinate") // NaN is the only value ≠ itself
     (clamp(((x - space.minX) / cellW).toInt), clamp(((y - space.minY) / cellH).toInt))
+  }
 
   /** Cell ID of the cell containing lon/lat point (x, y). */
   def cellOf(x: Double, y: Double): Long = {

@@ -41,7 +41,7 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
   /** Total posting-list entries across all leaves. */
   def postingEntries: Long = {
     def go(n: TreeNode): Long = n match {
-      case l: Leaf     => l.inv.valuesIterator.map(_.size.toLong).sum
+      case l: Leaf     => l.slots.length.toLong
       case i: Internal => go(i.left) + go(i.right)
     }
     go(root)
@@ -132,7 +132,7 @@ object DitsLocal {
     val rect = nodes.map(_.rect).reduce(_ union _)
     if (nodes.length <= capacity) {
       val leaf = new Leaf(rect, capacity)
-      nodes.foreach(leaf.add)
+      leaf.addAll(nodes)
       leaf
     } else {
       // Widest dimension of the enclosing MBR (Alg. 1 lines 11–14).

@@ -1,32 +1,45 @@
 package repro.core.dits
 
-import repro.core.{CellSet, MBR}
+import repro.core.CellSet
 import scala.collection.mutable
 
 /** OJSP result entry: dataset id and its exact `|S_Q ∩ S_D|`. */
 final case class OverlapHit(id: Int, overlap: Int)
 
 /** Algorithm 2 — OverlapSearch: branch-and-bound over DITS-L with
-  * leaf-level intersection bounds (Lemmas 2–3), followed by exact
+  * leaf-level intersection bounds (Lemma 2), followed by exact
   * verification through the leaf inverted indexes.
   *
   * Filter step: internal nodes whose MBR misses the query MBR are pruned
   * outright (their intersection is 0). Each surviving leaf gets an upper
-  * bound (number of query cells present in its inverted-index key set) and
-  * a lower bound (query cells whose posting list covers every child).
+  * bound (number of query cells present in its inverted-index key set).
   * Leaves whose upper bound cannot beat the current k-th best are pruned
   * in batch.
   *
   * Verification step: leaves are processed in descending upper-bound order
   * so the top-k heap tightens as early as possible; per-dataset counts come
   * from one pass over the query cells' posting lists.
+  *
+  * Every kernel reads the leaf's flat index (`Leaf.keys`/`offs`/`slots`)
+  * and walks only the slice of the sorted query between the leaf's smallest
+  * and largest key, looking each cell up with a binary search that starts
+  * after the previous hit.
   */
 object OverlapSearch {
 
-  /** Lemma 2: upper bound of `|S_Q ∩ S_D|` over all datasets in `leaf`. */
+  /** Lemma 2: upper bound of `|S_Q ∩ S_D|` over all datasets in `leaf`.
+    * `query` is sorted and distinct, as everywhere below.
+    */
   def upperBound(leaf: Leaf, query: Array[Long]): Int = {
-    var n = 0; var i = 0
-    while (i < query.length) { if (leaf.inv.contains(query(i))) n += 1; i += 1 }
+    val keys = leaf.keys
+    if (keys.isEmpty) return 0
+    var n = 0; var from = 0
+    var i = sliceFrom(keys, query); val end = sliceUntil(keys, query)
+    while (i < end) {
+      val p = java.util.Arrays.binarySearch(keys, from, keys.length, query(i))
+      if (p >= 0) { n += 1; from = p + 1 } else from = -p - 1
+      i += 1
+    }
     n
   }
 
@@ -34,33 +47,69 @@ object OverlapSearch {
     * leaf, so every child dataset has at least this overlap.
     */
   def lowerBound(leaf: Leaf, query: Array[Long]): Int = {
+    val keys = leaf.keys; val offs = leaf.offs
     val full = leaf.children.length
-    if (full == 0) return 0
-    var n = 0; var i = 0
-    while (i < query.length) {
-      leaf.inv.get(query(i)) match {
-        case Some(pl) if pl.length == full => n += 1
-        case _                             =>
-      }
+    if (keys.isEmpty) return 0
+    var n = 0; var from = 0
+    var i = sliceFrom(keys, query); val end = sliceUntil(keys, query)
+    while (i < end) {
+      val p = java.util.Arrays.binarySearch(keys, from, keys.length, query(i))
+      if (p >= 0) { if (offs(p + 1) - offs(p) == full) n += 1; from = p + 1 }
+      else from = -p - 1
       i += 1
     }
     n
   }
 
-  /** Exact per-dataset overlap for one leaf via its posting lists. */
-  def verifyLeaf(leaf: Leaf, query: Array[Long]): mutable.HashMap[Int, Int] = {
-    val counts = mutable.HashMap.empty[Int, Int]
-    var i = 0
-    while (i < query.length) {
-      leaf.inv.get(query(i)) match {
-        case Some(pl) =>
-          var j = 0
-          while (j < pl.length) { counts.update(pl(j), counts.getOrElse(pl(j), 0) + 1); j += 1 }
-        case None =>
-      }
+  /** Exact per-dataset overlap (id → count, counts > 0) for one leaf via
+    * its posting lists.
+    */
+  def verifyLeaf(leaf: Leaf, query: Array[Long]): collection.Map[Int, Int] = {
+    val counts = new Array[Int](leaf.children.length)
+    countOverlaps(leaf, query, counts)
+    val out = mutable.HashMap.empty[Int, Int]
+    var s = 0
+    while (s < counts.length) {
+      if (counts(s) > 0) out(leaf.children(s).id) = counts(s)
+      s += 1
+    }
+    out
+  }
+
+  /** Adds to `counts(s)` the overlap of the query with child slot `s`. */
+  private def countOverlaps(leaf: Leaf, query: Array[Long], counts: Array[Int]): Unit = {
+    val keys = leaf.keys; val offs = leaf.offs; val slots = leaf.slots
+    if (keys.isEmpty) return
+    var from = 0
+    var i = sliceFrom(keys, query); val end = sliceUntil(keys, query)
+    while (i < end) {
+      val p = java.util.Arrays.binarySearch(keys, from, keys.length, query(i))
+      if (p >= 0) {
+        var j = offs(p)
+        while (j < offs(p + 1)) { counts(slots(j)) += 1; j += 1 }
+        from = p + 1
+      } else from = -p - 1
       i += 1
     }
-    counts
+  }
+
+  /** First query position whose cell is ≥ `keys.head` (`keys` non-empty). */
+  private def sliceFrom(keys: Array[Long], query: Array[Long]): Int = {
+    val p = java.util.Arrays.binarySearch(query, keys(0))
+    if (p >= 0) p else -p - 1
+  }
+
+  /** First query position whose cell is > `keys.last` (`keys` non-empty). */
+  private def sliceUntil(keys: Array[Long], query: Array[Long]): Int = {
+    val p = java.util.Arrays.binarySearch(query, keys(keys.length - 1))
+    if (p >= 0) p + 1 else -p - 1
+  }
+
+  /** Heap order: the weakest kept hit first — lower overlap, then larger id. */
+  private object Weakest extends Ordering[OverlapHit] {
+    def compare(a: OverlapHit, b: OverlapHit): Int =
+      if (a.overlap != b.overlap) Integer.compare(b.overlap, a.overlap)
+      else Integer.compare(a.id, b.id)
   }
 
   /** Top-k datasets by exact overlap with `query` (sorted cell IDs).
@@ -73,17 +122,12 @@ object OverlapSearch {
     val qRect = CellSet.mbr(queryCells)
 
     // ---- Filter: collect candidate leaves with bounds (BranchAndBound). --
-    val cands = mutable.ArrayBuffer.empty[(Leaf, Int, Int)] // (leaf, lb, ub)
-    var bestLb = 0
+    val cands = mutable.ArrayBuffer.empty[(Leaf, Int)] // (leaf, ub)
     def descend(n: TreeNode): Unit = n match {
       case l: Leaf =>
         if (l.rect.intersects(qRect)) {
           val ub = upperBound(l, queryCells)
-          if (ub > 0) {
-            val lb = lowerBound(l, queryCells)
-            if (lb > bestLb) bestLb = lb
-            cands += ((l, lb, ub))
-          }
+          if (ub > 0) cands += ((l, ub))
         }
       case i: Internal =>
         if (i.rect.intersects(qRect)) { descend(i.left); descend(i.right) }
@@ -91,22 +135,30 @@ object OverlapSearch {
     descend(index.root)
 
     // ---- Verification in descending-ub order with a top-k min-heap. -----
-    // Heap orders by (overlap asc, id desc) so peek() is the weakest kept
-    // hit and ties prefer smaller ids.
-    implicit val ord: Ordering[OverlapHit] =
-      Ordering.by[OverlapHit, (Int, Int)](h => (-h.overlap, h.id))
-    val heap = mutable.PriorityQueue.empty[OverlapHit] // head = weakest
+    // Ties prefer smaller ids: a hit equal to the weakest kept one on
+    // overlap replaces it only with a smaller id.
+    val heap = mutable.PriorityQueue.empty[OverlapHit](Weakest) // head = weakest
     def kth: Int = if (heap.size < k) 0 else heap.head.overlap
+    var counts = new Array[Int](index.capacity)
 
-    for ((leaf, _, ub) <- cands.sortBy(-_._3)) {
+    for ((leaf, ub) <- cands.sortBy(-_._2)) {
       if (!(heap.size >= k && ub < kth)) { // batch prune (Alg. 2 line 19)
-        val counts = verifyLeaf(leaf, queryCells)
-        counts.foreach { case (id, ov) =>
-          if (heap.size < k) heap.enqueue(OverlapHit(id, ov))
-          else if (ov > heap.head.overlap ||
-                   (ov == heap.head.overlap && id < heap.head.id)) {
-            heap.dequeue(); heap.enqueue(OverlapHit(id, ov))
+        val n = leaf.children.length
+        if (counts.length < n) counts = new Array[Int](n)
+        countOverlaps(leaf, queryCells, counts)
+        var s = 0
+        while (s < n) {
+          val ov = counts(s)
+          if (ov > 0) {
+            counts(s) = 0
+            val id = leaf.children(s).id
+            if (heap.size < k) heap.enqueue(OverlapHit(id, ov))
+            else if (ov > heap.head.overlap ||
+                     (ov == heap.head.overlap && id < heap.head.id)) {
+              heap.dequeue(); heap.enqueue(OverlapHit(id, ov))
+            }
           }
+          s += 1
         }
       }
     }

@@ -42,6 +42,7 @@ final class DataCenter(sources: Seq[SourceNode]) {
   def overlapSearch(queryLonLat: Array[(Double, Double)], k: Int,
                     strategy: Distribution): (Seq[MultiHit], CommStats) = {
     val comm = new CommStats
+    if (queryLonLat.isEmpty) return (Nil, comm)
     val qRect = MBR.of(queryLonLat.map { case (x, y) => Point(x, y) })
     val targets: Seq[SourceSummary] = strategy match {
       case Distribution.Broadcast => sources.map(_.summary)
@@ -72,6 +73,7 @@ final class DataCenter(sources: Seq[SourceNode]) {
   def coverageSearch(queryLonLat: Array[(Double, Double)], delta: Double, k: Int,
                      strategy: Distribution): (MultiCoverage, CommStats) = {
     val comm = new CommStats
+    if (queryLonLat.isEmpty) return (MultiCoverage(Nil, 0), comm)
     // Covered set tracked under a reference grid (finest of the sources)
     // so coverage counting is well-defined across sources.
     val refGrid = sources.map(_.grid).maxBy(_.theta)

@@ -67,6 +67,19 @@ class GridSpec extends AnyFunSuite {
     assert(g.coordsOf(g.cellOf(-180.0, -90.0)) == ((0, 0)))
   }
 
+  test("infinite coordinates are clamped into the edge cells") {
+    val g = Grid.world(4)
+    assert(g.coordsOf(g.cellOf(Double.PositiveInfinity, Double.NegativeInfinity)) == ((15, 0)))
+    assert(g.coordsOf(g.cellOf(Double.NegativeInfinity, Double.PositiveInfinity)) == ((0, 15)))
+  }
+
+  test("a NaN coordinate is rejected, not mapped to cell 0") {
+    val g = Grid.world(10)
+    intercept[IllegalArgumentException](g.cellOf(Double.NaN, 10.0))
+    intercept[IllegalArgumentException](g.cellOf(10.0, Double.NaN))
+    intercept[IllegalArgumentException](g.cellOf(Double.NaN, Double.NaN))
+  }
+
   test("cellSet is sorted and distinct") {
     val g = Grid.world(6)
     val pts = Seq(Point(1, 1), Point(1.001, 1.001), Point(50, 50), Point(-120, -60))

@@ -32,12 +32,9 @@ class DitsLocalSpec extends AnyFunSuite {
     DitsLocal.leaves(ix.root).foreach { leaf =>
       assert(leaf.children.length <= ix.capacity,
              s"leaf holds ${leaf.children.length} > f=${ix.capacity}")
-      val rebuilt = leaf.children
-        .flatMap(d => d.cells.map(c => c -> d.id))
-        .groupBy(_._1).view.mapValues(_.map(_._2).sorted.toSeq).toMap
-      val actual = leaf.inv.map { case (c, pl) => c -> pl.sorted.toSeq }.toMap
-      assert(actual == rebuilt, "leaf inverted index out of sync with children")
+      DitsLocalSpec.assertFlatIndex(leaf)
     }
+    assert(ix.postingEntries == ix.datasets.map(_.cells.length.toLong).sum)
     // MBR containment along parent pointers and cell sets match.
     ix.datasets.foreach { d =>
       assert(d.cells.sameElements(expect(d.id)))
@@ -157,5 +154,24 @@ class DitsLocalSpec extends AnyFunSuite {
     intercept[NoSuchElementException](ix.delete(ds(9)._1))
     ix.insert(DatasetNode(ds(9)._1, ds(9)._2))
     checkInvariants(ix, (ds.toMap - ds(5)._1) ++ extra.drop(6).toMap)
+  }
+}
+
+object DitsLocalSpec {
+  import org.scalatest.Assertions._
+
+  /** The leaf's flat inverted index equals the one rebuilt from its
+    * children: sorted distinct keys, and for each key the ascending slots
+    * of the children holding it.
+    */
+  def assertFlatIndex(leaf: Leaf): Unit = {
+    val keys = leaf.children.flatMap(_.cells).distinct.sorted
+    val postings = keys.map(c => leaf.children.indices.filter(s => leaf.children(s).cells.contains(c)))
+    assert(leaf.keys.toSeq == keys, "leaf keys out of sync with children")
+    assert(leaf.offs.toSeq == postings.scanLeft(0)(_ + _.length), "leaf offsets out of sync")
+    assert(leaf.slots.toSeq == postings.flatten, "leaf postings out of sync with children")
+    keys.zip(postings).foreach { case (c, ss) =>
+      assert(leaf.inv.get(c).contains(ss.map(leaf.children(_).id)))
+    }
   }
 }

@@ -53,6 +53,19 @@ class MultiSourceSpec extends AnyFunSuite {
     }
   }
 
+  for (st <- Seq(Distribution.Broadcast, Distribution.Candidates, Distribution.Clipped)) {
+    test(s"an empty query finds nothing and ships nothing under $st") {
+      val (srcs, _) = mkSources()
+      val center = new DataCenter(srcs)
+      val (hits, oc) = center.overlapSearch(Array.empty, 8, st)
+      assert(hits.isEmpty)
+      val (cov, cc) = center.coverageSearch(Array.empty, 3.0, 5, st)
+      assert(cov == MultiCoverage(Nil, 0))
+      for (c <- Seq(oc, cc))
+        assert(c.messages == 0 && c.bytesSent == 0 && c.bytesReceived == 0)
+    }
+  }
+
   test("byte counts: Broadcast ≥ Candidates ≥ Clipped (OJSP)") {
     val (srcs, all) = mkSources()
     val center = new DataCenter(srcs)

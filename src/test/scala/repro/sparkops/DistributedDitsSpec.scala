@@ -69,6 +69,11 @@ class DistributedDitsSpec extends SparkSpec {
     }
   }
 
+  test("an empty query picks nothing and ships nothing") {
+    assert(dits.coverageSearch(Array.emptyLongArray, 3.0, 5) == ((Nil, 0)))
+    assert(dits.overlapTopK(Array.emptyLongArray, 5) == ((Nil, 0L)))
+  }
+
   test("queries far from every source ship nothing and return nothing") {
     val q = CellSet.of(Seq(Grid.interleave(1, 1))) // lon/lat ≈ (-180, -90)
     val (hits, shipped) = dits.overlapTopK(q, 5)
