@@ -8,12 +8,28 @@ package repro.core
 object CellSet {
 
   /** Normalise an arbitrary cell collection into the canonical sorted,
-    * distinct representation.
+    * distinct representation. The input is left unchanged.
     */
+  def of(cells: Array[Long]): Array[Long] = sortedDistinct(cells.clone(), cells.length)
+
+  /** Same as the array overload, for any collection. */
   def of(cells: Iterable[Long]): Array[Long] = {
-    val a = cells.toArray.distinct
-    java.util.Arrays.sort(a)
-    a
+    val a = cells.toArray
+    sortedDistinct(a, a.length)
+  }
+
+  /** Sort `a(0 until n)` in place and compact out duplicates: the result
+    * is the distinct values in ascending order, `a` itself when it is
+    * exactly that, else a trimmed copy. Writes `a`.
+    */
+  def sortedDistinct(a: Array[Long], n: Int): Array[Long] = {
+    java.util.Arrays.sort(a, 0, n)
+    var m = 0; var i = 0
+    while (i < n) {
+      if (m == 0 || a(m - 1) != a(i)) { a(m) = a(i); m += 1 }
+      i += 1
+    }
+    if (m == a.length) a else java.util.Arrays.copyOf(a, m)
   }
 
   /** `|a ∩ b|` by merging two sorted arrays — the OJSP objective. */
@@ -60,13 +76,11 @@ object CellSet {
     if (intersectionSize(a, b) > 0) return 0.0
     val bx = new Array[Int](b.length); val by = new Array[Int](b.length)
     var j = 0
-    while (j < b.length) {
-      val (x, y) = Grid.deinterleave(b(j)); bx(j) = x; by(j) = y; j += 1
-    }
+    while (j < b.length) { bx(j) = Grid.cellX(b(j)); by(j) = Grid.cellY(b(j)); j += 1 }
     var best = Double.MaxValue
     var i = 0
     while (i < a.length) {
-      val (ax, ay) = Grid.deinterleave(a(i))
+      val ax = Grid.cellX(a(i)); val ay = Grid.cellY(a(i))
       j = 0
       while (j < b.length) {
         val dx = (ax - bx(j)).toDouble; val dy = (ay - by(j)).toDouble
@@ -88,12 +102,10 @@ object CellSet {
     val d2max = delta * delta
     val bx = new Array[Int](b.length); val by = new Array[Int](b.length)
     var j = 0
-    while (j < b.length) {
-      val (x, y) = Grid.deinterleave(b(j)); bx(j) = x; by(j) = y; j += 1
-    }
+    while (j < b.length) { bx(j) = Grid.cellX(b(j)); by(j) = Grid.cellY(b(j)); j += 1 }
     var i = 0
     while (i < a.length) {
-      val (ax, ay) = Grid.deinterleave(a(i))
+      val ax = Grid.cellX(a(i)); val ay = Grid.cellY(a(i))
       j = 0
       while (j < b.length) {
         val dx = (ax - bx(j)).toDouble; val dy = (ay - by(j)).toDouble
@@ -117,8 +129,7 @@ object CellSet {
     val out = new Array[Long](cells.length)
     var i = 0
     while (i < cells.length) {
-      val (x, y) = Grid.deinterleave(cells(i))
-      out(i) = (x.toLong << 32) | (y.toLong & 0xffffffffL)
+      out(i) = (Grid.cellX(cells(i)).toLong << 32) | (Grid.cellY(cells(i)).toLong & 0xffffffffL)
       i += 1
     }
     out
@@ -141,7 +152,7 @@ object CellSet {
       val tmp = new scala.collection.mutable.HashMap[Long, scala.collection.mutable.ArrayBuffer[Long]]()
       var i = 0
       while (i < cells.length) {
-        val (x, y) = Grid.deinterleave(cells(i))
+        val x = Grid.cellX(cells(i)); val y = Grid.cellY(cells(i))
         val key = ((x / b).toLong << 32) | ((y / b).toLong & 0xffffffffL)
         tmp.getOrElseUpdate(key, scala.collection.mutable.ArrayBuffer.empty) +=
           ((x.toLong << 32) | (y.toLong & 0xffffffffL))
@@ -193,7 +204,7 @@ object CellSet {
     var hx = Int.MinValue; var hy = Int.MinValue
     var i = 0
     while (i < cells.length) {
-      val (x, y) = Grid.deinterleave(cells(i))
+      val x = Grid.cellX(cells(i)); val y = Grid.cellY(cells(i))
       if (x < lx) lx = x; if (x > hx) hx = x
       if (y < ly) ly = y; if (y > hy) hy = y
       i += 1

@@ -22,19 +22,13 @@ final case class Grid(theta: Int, space: MBR) extends Serializable {
 
   private def clamp(i: Int): Int = if (i < 0) 0 else if (i >= side) side - 1 else i
 
-  /** Integer grid coordinates of the cell containing lon/lat point (x, y).
-    * Points on or beyond an edge (±∞ included) are clamped into the edge
-    * cell; a NaN coordinate is rejected.
+  /** Cell ID of the cell containing lon/lat point (x, y). Points on or
+    * beyond an edge (±∞ included) are clamped into the edge cell; a NaN
+    * coordinate is rejected.
     */
-  def cellCoords(x: Double, y: Double): (Int, Int) = {
-    require(x == x && y == y, "NaN coordinate") // NaN is the only value ≠ itself
-    (clamp(((x - space.minX) / cellW).toInt), clamp(((y - space.minY) / cellH).toInt))
-  }
-
-  /** Cell ID of the cell containing lon/lat point (x, y). */
   def cellOf(x: Double, y: Double): Long = {
-    val (cx, cy) = cellCoords(x, y)
-    Grid.interleave(cx, cy)
+    require(x == x && y == y, "NaN coordinate") // NaN is the only value ≠ itself
+    Grid.interleave(clamp(((x - space.minX) / cellW).toInt), clamp(((y - space.minY) / cellH).toInt))
   }
 
   /** Grid coordinates (X, Y) of cell `c` — inverse of [[cellOf]]. */
@@ -42,7 +36,7 @@ final case class Grid(theta: Int, space: MBR) extends Serializable {
 
   /** Lon/lat MBR covered by cell `c`. */
   def cellRect(c: Long): MBR = {
-    val (cx, cy) = coordsOf(c)
+    val cx = Grid.cellX(c); val cy = Grid.cellY(c)
     MBR(space.minX + cx * cellW, space.minY + cy * cellH,
         space.minX + (cx + 1) * cellW, space.minY + (cy + 1) * cellH)
   }
@@ -59,37 +53,49 @@ final case class Grid(theta: Int, space: MBR) extends Serializable {
 
   /** Cell-based dataset of a point set (Def. 5): distinct sorted cell IDs. */
   def cellSet(points: Iterable[Point]): Array[Long] = {
-    val s = new scala.collection.mutable.TreeSet[Long]()
-    points.foreach(p => s += cellOf(p.x, p.y))
-    s.toArray
+    val a = new Array[Long](points.size)
+    val it = points.iterator
+    var n = 0
+    while (it.hasNext) { val p = it.next(); a(n) = cellOf(p.x, p.y); n += 1 }
+    CellSet.sortedDistinct(a, n)
   }
 }
 
 object Grid {
   /** Interleave the bits of (x, y) into a z-order code: y bits occupy the
-    * odd positions, x bits the even positions.
+    * odd positions, x bits the even positions. Only the low 28 bits of
+    * each coordinate are used.
     */
-  def interleave(x: Int, y: Int): Long = {
-    var code = 0L
-    var i = 0
-    while (i < 28) {
-      code |= ((x >> i) & 1L) << (2 * i)
-      code |= ((y >> i) & 1L) << (2 * i + 1)
-      i += 1
-    }
-    code
-  }
+  def interleave(x: Int, y: Int): Long = spread(x) | (spread(y) << 1)
 
   /** Inverse of [[interleave]]. */
-  def deinterleave(c: Long): (Int, Int) = {
-    var x = 0; var y = 0
-    var i = 0
-    while (i < 28) {
-      x |= (((c >> (2 * i)) & 1L) << i).toInt
-      y |= (((c >> (2 * i + 1)) & 1L) << i).toInt
-      i += 1
-    }
-    (x, y)
+  def deinterleave(c: Long): (Int, Int) = (cellX(c), cellY(c))
+
+  /** Grid X coordinate of cell `c` (the even bits of its z-order code). */
+  def cellX(c: Long): Int = compact(c)
+
+  /** Grid Y coordinate of cell `c` (the odd bits of its z-order code). */
+  def cellY(c: Long): Int = compact(c >>> 1)
+
+  // Morton's bit spreading as five mask-and-shift steps: each step moves
+  // the upper half of every bit group up by half the group width.
+  private def spread(v: Int): Long = {
+    var x = v.toLong & 0x0fffffffL
+    x = (x | (x << 16)) & 0x0000ffff0000ffffL
+    x = (x | (x << 8)) & 0x00ff00ff00ff00ffL
+    x = (x | (x << 4)) & 0x0f0f0f0f0f0f0f0fL
+    x = (x | (x << 2)) & 0x3333333333333333L
+    (x | (x << 1)) & 0x5555555555555555L
+  }
+
+  // Inverse of `spread` on the even bits of `c` below bit 56.
+  private def compact(c: Long): Int = {
+    var x = c & 0x0055555555555555L
+    x = (x | (x >>> 1)) & 0x3333333333333333L
+    x = (x | (x >>> 2)) & 0x0f0f0f0f0f0f0f0fL
+    x = (x | (x >>> 4)) & 0x00ff00ff00ff00ffL
+    x = (x | (x >>> 8)) & 0x0000ffff0000ffffL
+    (x | (x >>> 16)).toInt
   }
 
   /** The world grid used throughout the experiments: the paper divides the

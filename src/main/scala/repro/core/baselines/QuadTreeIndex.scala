@@ -38,30 +38,25 @@ final class QuadTreeIndex(side: Int, capacity: Int = 4) {
     removeDataset(id, oldCells); insertDataset(id, newCells)
   }
 
-  private def centreOf(c: Long): (Double, Double) = {
-    val (x, y) = Grid.deinterleave(c); (x + 0.5, y + 0.5)
-  }
-
   private def insertEntry(cell: Long, id: Int): Unit = {
     var n = root
-    val (px, py) = centreOf(cell)
-    while (!n.isLeaf) n = n.children(quadrantOf(n, px, py))
+    while (!n.isLeaf) n = n.children(quadrantOf(n, cell))
     n.entries += ((cell, id))
     if (n.entries.length > capacity && n.rect.width(0) > 1) split(n)
   }
 
   private def removeEntry(cell: Long, id: Int): Unit = {
     var n = root
-    val (px, py) = centreOf(cell)
-    while (!n.isLeaf) n = n.children(quadrantOf(n, px, py))
+    while (!n.isLeaf) n = n.children(quadrantOf(n, cell))
     val i = n.entries.indexOf((cell, id))
     if (i >= 0) n.entries.remove(i)
   }
 
-  private def quadrantOf(n: QNode, px: Double, py: Double): Int = {
+  /** Quadrant of `n` holding the centre of cell `c`. */
+  private def quadrantOf(n: QNode, c: Long): Int = {
     val cx = (n.rect.minX + n.rect.maxX) / 2
     val cy = (n.rect.minY + n.rect.maxY) / 2
-    (if (px >= cx) 1 else 0) + (if (py >= cy) 2 else 0)
+    (if (Grid.cellX(c) + 0.5 >= cx) 1 else 0) + (if (Grid.cellY(c) + 0.5 >= cy) 2 else 0)
   }
 
   private def split(n: QNode): Unit = {
@@ -75,10 +70,7 @@ final class QuadTreeIndex(side: Int, capacity: Int = 4) {
     )
     val old = n.entries
     n.entries = null
-    old.foreach { case (c, id) =>
-      val (px, py) = centreOf(c)
-      n.children(quadrantOf(n, px, py)).entries += ((c, id))
-    }
+    old.foreach { case (c, id) => n.children(quadrantOf(n, c)).entries += ((c, id)) }
     // No recursive split: quadrants exceeding capacity split lazily on the
     // next insert, which bounds worst-case behaviour on duplicate cells.
   }

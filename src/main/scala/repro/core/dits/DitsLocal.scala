@@ -48,8 +48,9 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
   }
 
   /** Appendix C insert: descend to the leaf whose pivot is nearest, add
-    * the dataset node, split the leaf if it overflows, and refresh MBRs up
-    * to the root. An id that is already indexed is rejected.
+    * the dataset node, and refresh MBRs up to the root. A leaf that is
+    * already full is replaced by a subtree built over its children plus
+    * the new node (the split). An id that is already indexed is rejected.
     */
   def insert(d: DatasetNode): Unit = {
     register(d)
@@ -59,10 +60,14 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
       n = if (d.pivot.dist(i.left.pivot) <= d.pivot.dist(i.right.pivot)) i.left else i.right
     }
     val leaf = n.asInstanceOf[Leaf]
-    leaf.add(d)
-    leaf.rect = leaf.rect.union(d.rect)
-    if (leaf.children.length > capacity) splitLeaf(leaf)
-    refreshUp(leaf.parent)
+    if (leaf.children.length >= capacity)
+      replaceChild(leaf, DitsLocal.buildNode((leaf.children :+ d).toArray, capacity))
+    else {
+      // An empty leaf (the root of an emptied index) keeps a stale rect.
+      leaf.rect = if (leaf.children.isEmpty) d.rect else leaf.rect.union(d.rect)
+      leaf.add(d)
+      refreshUp(leaf.parent)
+    }
   }
 
   /** Appendix C update: replace the node with id `d.id` by `d` (delete +
@@ -82,11 +87,6 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
       leaf.rect = leaf.children.map(_.rect).reduce(_ union _)
       refreshUp(leaf.parent)
     } else collapse(leaf)
-  }
-
-  private def splitLeaf(leaf: Leaf): Unit = {
-    val sub = DitsLocal.buildNode(leaf.children.toArray, capacity)
-    replaceChild(leaf, sub)
   }
 
   private def collapse(leaf: Leaf): Unit = {

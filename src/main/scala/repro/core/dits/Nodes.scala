@@ -86,18 +86,13 @@ final class Leaf(var rect: MBR, val capacity: Int) extends TreeNode {
     children.foreach { d =>
       System.arraycopy(d.cells, 0, all, n, d.cells.length); n += d.cells.length
     }
-    java.util.Arrays.sort(all)
-    var nk = 0; var i = 0
-    while (i < all.length) {
-      if (nk == 0 || all(nk - 1) != all(i)) { all(nk) = all(i); nk += 1 }
-      i += 1
-    }
-    val ks = java.util.Arrays.copyOf(all, nk)
+    val ks = CellSet.sortedDistinct(all, total)
+    val nk = ks.length
     // Count each key's postings, then fill them child by child, so each
     // posting list comes out in ascending slot order.
     val os = new Array[Int](nk + 1)
     children.foreach(d => forEachKey(ks, d.cells)(p => os(p + 1) += 1))
-    i = 0
+    var i = 0
     while (i < nk) { os(i + 1) += os(i); i += 1 }
     val next = java.util.Arrays.copyOf(os, nk)
     val ss = new Array[Int](total)

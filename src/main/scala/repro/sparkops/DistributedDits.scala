@@ -39,20 +39,20 @@ final class DistributedDits private (
     val clipped: Map[Int, Array[Long]] = cands.iterator.map { s =>
       val rect = grid.lonLatToCellSpace(summaries(s).lonLatRect)
       s -> queryCells.filter { c =>
-        val (x, y) = Grid.deinterleave(c)
+        val x = Grid.cellX(c); val y = Grid.cellY(c)
         rect.intersects(MBR(x, y, x + 1, y + 1))
       }
     }.toMap
     val shipped = clipped.valuesIterator.map(_.length.toLong).sum
     val bc = indexes.sparkContext.broadcast(clipped)
-    val hits = indexes
+    val perSource = indexes
       .filter { case (s, _) => bc.value.contains(s) }
       .flatMap { case (s, ix) =>
         val q = bc.value(s)
         if (q.isEmpty) Iterator.empty
         else OverlapSearch.search(ix, q, k).iterator.map(h => (s, h.id, h.overlap))
       }
-      .collect()
+    val hits = try perSource.collect() finally bc.destroy()
     (hits.sortBy { case (s, id, ov) => (-ov, s, id) }.take(k).toSeq, shipped)
   }
 
@@ -72,7 +72,7 @@ final class DistributedDits private (
       val cands = global.coverageCandidates(qRect, delta).map(_.sourceId).toSet
       val bcCovered = indexes.sparkContext.broadcast(covered)
       val bcPicked = indexes.sparkContext.broadcast(picked.toSet)
-      val best = indexes
+      val perSource = indexes
         .filter { case (s, _) => cands.contains(s) }
         .flatMap { case (s, ix) =>
           val cov = bcCovered.value
@@ -87,9 +87,8 @@ final class DistributedDits private (
           }
           if (bid < 0) Iterator.empty else Iterator.single((s, bid, tau, bcells))
         }
-        .collect()
-        .sortBy { case (s, id, g, _) => (-g, s, id) }
-        .headOption
+      val found = try perSource.collect() finally { bcCovered.destroy(); bcPicked.destroy() }
+      val best = found.sortBy { case (s, id, g, _) => (-g, s, id) }.headOption
       best match {
         case Some((s, id, _, cells)) =>
           picked = picked :+ ((s, id))

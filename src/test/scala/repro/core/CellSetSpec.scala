@@ -98,4 +98,28 @@ class CellSetSpec extends AnyFunSuite {
     val cs = CellSet.of(Seq(5L, 1L, 5L, 3L, 1L))
     assert(cs.toSeq == Seq(1L, 3L, 5L))
   }
+
+  for (seed <- 0 until 20) {
+    test(s"of() equals distinct-then-sorted and leaves its input alone (seed=$seed)") {
+      val rnd = new Random(500 + seed)
+      // Small value ranges force duplicates; wide ones exercise the sign bit.
+      val span = Seq(3L, 50L, Long.MaxValue)(seed % 3)
+      val raw = Array.fill(rnd.nextInt(80))(if (span == Long.MaxValue) rnd.nextLong() else rnd.nextLong(span))
+      val copy = raw.clone()
+      val exp = raw.toSeq.distinct.sorted
+      assert(CellSet.of(raw).toSeq == exp)
+      assert(raw.sameElements(copy), "of(Array) must not write its input")
+      assert(CellSet.of(raw.toSeq).toSeq == exp)
+      assert(CellSet.of(raw.toList).toSeq == exp)
+    }
+  }
+
+  test("sortedDistinct works on a prefix and returns the buffer when nothing is dropped") {
+    val a = Array(9L, 2L, 9L, 4L, 2L, -1L, -7L)
+    assert(CellSet.sortedDistinct(a, 5).toSeq == Seq(2L, 4L, 9L))
+    val b = Array(3L, 1L, 2L)
+    assert(CellSet.sortedDistinct(b, 3) eq b)
+    assert(b.toSeq == Seq(1L, 2L, 3L))
+    assert(CellSet.sortedDistinct(Array.emptyLongArray, 0).isEmpty)
+  }
 }

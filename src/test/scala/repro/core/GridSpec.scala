@@ -14,10 +14,40 @@ class GridSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
+  private val coord = Gen.choose(0, (1 << 28) - 1)
+
   test("interleave/deinterleave roundtrip (property)") {
-    check(Prop.forAll(Gen.choose(0, (1 << 14) - 1), Gen.choose(0, (1 << 14) - 1)) {
+    check(Prop.forAll(coord, coord) {
       (x: Int, y: Int) => Grid.deinterleave(Grid.interleave(x, y)) == ((x, y))
     })
+  }
+
+  test("interleave equals the bit-by-bit reference (property)") {
+    check(Prop.forAll(coord, coord) { (x: Int, y: Int) =>
+      Grid.interleave(x, y) == GridSpec.refInterleave(x, y)
+    })
+    // Bits above 27 are ignored, as by the reference.
+    check(Prop.forAll { (x: Int, y: Int) => Grid.interleave(x, y) == GridSpec.refInterleave(x, y) })
+  }
+
+  test("deinterleave, cellX and cellY equal the bit-by-bit reference (property)") {
+    val code = Gen.oneOf(Gen.choose(0L, (1L << 56) - 1), Gen.long)
+    check(Prop.forAll(code) { (c: Long) =>
+      val ref = GridSpec.refDeinterleave(c)
+      Grid.deinterleave(c) == ref && Grid.cellX(c) == ref._1 && Grid.cellY(c) == ref._2
+    })
+  }
+
+  test("each coordinate bit lands on its own code bit") {
+    for (i <- 0 until 28) {
+      assert(Grid.interleave(1 << i, 0) == 1L << (2 * i))
+      assert(Grid.interleave(0, 1 << i) == 1L << (2 * i + 1))
+      assert(Grid.cellX(1L << (2 * i)) == 1 << i && Grid.cellY(1L << (2 * i)) == 0)
+      assert(Grid.cellY(1L << (2 * i + 1)) == 1 << i && Grid.cellX(1L << (2 * i + 1)) == 0)
+    }
+    val all = Grid.interleave((1 << 28) - 1, (1 << 28) - 1)
+    assert(all == (1L << 56) - 1)
+    assert(Grid.cellX(all) == (1 << 28) - 1 && Grid.cellY(all) == (1 << 28) - 1)
   }
 
   test("interleave is injective on a 64x64 block") {
@@ -80,6 +110,35 @@ class GridSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](g.cellOf(Double.NaN, Double.NaN))
   }
 
+  test("cellSet equals a TreeSet over the reference encoding (property)") {
+    val gen = for {
+      theta <- Gen.choose(1, 12)
+      g = Grid.world(theta)
+      // Points inside cells, exactly on cell edges, on and beyond the
+      // border, and at ±∞; drawn from a small pool so duplicates are common.
+      xs = Gen.oneOf(Gen.choose(-180.0, 180.0),
+                     Gen.choose(0, g.side).map(i => -180.0 + i * g.cellW),
+                     Gen.oneOf(-180.0, 180.0, -200.0, 500.0, Double.NegativeInfinity, Double.PositiveInfinity))
+      ys = Gen.oneOf(Gen.choose(-90.0, 90.0),
+                     Gen.choose(0, g.side).map(i => -90.0 + i * g.cellH),
+                     Gen.oneOf(-90.0, 90.0, -95.0, 300.0, Double.NegativeInfinity, Double.PositiveInfinity))
+      pool <- Gen.nonEmptyListOf(Gen.zip(xs, ys).map { case (x, y) => Point(x, y) })
+      n <- Gen.choose(0, 3 * pool.length)
+      pts <- Gen.listOfN(n, Gen.oneOf(pool))
+    } yield (g, pts)
+    check(Prop.forAll(gen) { case (g, pts) =>
+      val ref = scala.collection.mutable.TreeSet.empty[Long]
+      pts.foreach(p => ref += GridSpec.refCellOf(g, p.x, p.y))
+      g.cellSet(pts).toSeq == ref.toSeq && g.cellSet(pts.toArray[Point]).toSeq == ref.toSeq
+    })
+  }
+
+  test("cellSet of no points is empty; a NaN point is rejected") {
+    val g = Grid.world(5)
+    assert(g.cellSet(Nil).isEmpty)
+    intercept[IllegalArgumentException](g.cellSet(Seq(Point(1, 1), Point(Double.NaN, 2))))
+  }
+
   test("cellSet is sorted and distinct") {
     val g = Grid.world(6)
     val pts = Seq(Point(1, 1), Point(1.001, 1.001), Point(50, 50), Point(-120, -60))
@@ -100,5 +159,38 @@ class GridSpec extends AnyFunSuite {
     val g = Grid.world(10)
     assert(math.abs(g.cellW * g.side - 360.0) < 1e-9)
     assert(math.abs(g.cellH * g.side - 180.0) < 1e-9)
+  }
+}
+
+object GridSpec {
+  /** Reference z-order encoding: one coordinate bit per step. */
+  def refInterleave(x: Int, y: Int): Long = {
+    var code = 0L
+    var i = 0
+    while (i < 28) {
+      code |= ((x >> i) & 1L) << (2 * i)
+      code |= ((y >> i) & 1L) << (2 * i + 1)
+      i += 1
+    }
+    code
+  }
+
+  /** Reference inverse of [[refInterleave]]. */
+  def refDeinterleave(c: Long): (Int, Int) = {
+    var x = 0; var y = 0
+    var i = 0
+    while (i < 28) {
+      x |= (((c >> (2 * i)) & 1L) << i).toInt
+      y |= (((c >> (2 * i + 1)) & 1L) << i).toInt
+      i += 1
+    }
+    (x, y)
+  }
+
+  /** Reference point → cell: clamp each grid coordinate into the grid. */
+  def refCellOf(g: Grid, x: Double, y: Double): Long = {
+    def clamp(i: Int) = math.min(g.side - 1, math.max(0, i))
+    refInterleave(clamp(((x - g.space.minX) / g.cellW).toInt),
+                  clamp(((y - g.space.minY) / g.cellH).toInt))
   }
 }

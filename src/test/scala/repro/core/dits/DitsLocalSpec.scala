@@ -110,6 +110,35 @@ class DitsLocalSpec extends AnyFunSuite {
     }
   }
 
+  for (f <- Seq(2, 3, 5)) {
+    test(s"inserts into full leaves split them with an exact flat index (f=$f)") {
+      val ds = randomDatasets(31 + f, 3 * f)
+      val extra = randomDatasets(61 + f, 8 * f, span = 16).map { case (id, cs) => (900 + id, cs) }
+      val ix = DitsLocal.build(ds, f)
+      var splits = 0
+      extra.foreach { case (id, cs) =>
+        val d = DatasetNode(id, cs)
+        val before = ix.nodeCount
+        ix.insert(d)
+        if (ix.nodeCount > before) splits += 1
+        assert(d.parent.children.contains(d))
+        checkInvariants(ix, (ds ++ extra.takeWhile(_._1 != id) :+ (id -> cs)).toMap)
+      }
+      assert(splits > 0, "the inserts must split a leaf")
+    }
+  }
+
+  test("an emptied index takes the rect of the next inserted dataset") {
+    val ds = randomDatasets(41, 12)
+    val ix = DitsLocal.build(ds, 3)
+    ds.foreach { case (id, _) => ix.delete(id) }
+    assert(ix.size == 0)
+    val d = DatasetNode(77, CellSet.of(Seq(Grid.interleave(60, 2), Grid.interleave(61, 3))))
+    ix.insert(d)
+    assert(ix.root.rect == d.rect)
+    checkInvariants(ix, Map(77 -> d.cells))
+  }
+
   test("delete of unknown id throws") {
     val ix = DitsLocal.build(randomDatasets(0, 5), 4)
     intercept[NoSuchElementException](ix.delete(4242))

@@ -1,5 +1,8 @@
 package repro.sparkops
 
+import org.apache.spark.BroadcastBlocks
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, SynthData}
 import repro.core.{CellSet, Grid, SynthSpatial}
 import repro.core.baselines.StandardGreedy
@@ -72,6 +75,17 @@ class DistributedDitsSpec extends SparkSpec {
   test("an empty query picks nothing and ships nothing") {
     assert(dits.coverageSearch(Array.emptyLongArray, 3.0, 5) == ((Nil, 0)))
     assert(dits.overlapTopK(Array.emptyLongArray, 5) == ((Nil, 0L)))
+  }
+
+  test("searches leave none of their broadcasts on the driver") {
+    val q = coreDatasets(3)._3
+    dits.overlapTopK(q, 8) // builds the index and DITS-G first
+    val before = BroadcastBlocks.liveValueIds()
+    dits.overlapTopK(q, 8)
+    dits.coverageSearch(q, 3.0, 5)
+    eventually(timeout(20.seconds), interval(50.millis)) {
+      assert(BroadcastBlocks.liveValueIds() -- before == Set.empty)
+    }
   }
 
   test("queries far from every source ship nothing and return nothing") {
