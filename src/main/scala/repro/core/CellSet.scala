@@ -32,32 +32,90 @@ object CellSet {
     if (m == a.length) a else java.util.Arrays.copyOf(a, m)
   }
 
-  /** `|a ∩ b|` by merging two sorted arrays — the OJSP objective. */
-  def intersectionSize(a: Array[Long], b: Array[Long]): Int = {
-    var i = 0; var j = 0; var n = 0
-    while (i < a.length && j < b.length) {
-      val c = java.lang.Long.compare(a(i), b(j))
-      if (c == 0) { n += 1; i += 1; j += 1 }
-      else if (c < 0) i += 1
-      else j += 1
+  /** `|a ∩ b|` of two sorted arrays — the OJSP objective. A linear merge,
+    * unless one side is more than [[GallopRatio]] times longer: then each
+    * cell of the shorter side is found in the longer by galloping
+    * (adaptive intersection, Demaine, López-Ortiz & Munro, SODA 2000).
+    */
+  def intersectionSize(a: Array[Long], b: Array[Long]): Int =
+    if (a.length / GallopRatio > b.length) gallopIntersectionSize(b, a)
+    else if (b.length / GallopRatio > a.length) gallopIntersectionSize(a, b)
+    else {
+      var i = 0; var j = 0; var n = 0
+      while (i < a.length && j < b.length) {
+        val c = java.lang.Long.compare(a(i), b(j))
+        if (c == 0) { n += 1; i += 1; j += 1 }
+        else if (c < 0) i += 1
+        else j += 1
+      }
+      n
+    }
+
+  /** Length ratio from which [[intersectionSize]] gallops. */
+  private final val GallopRatio = 8
+
+  /** `|small ∩ large|`: each cell of `small` is looked up in `large` with
+    * [[gallop]] from the previous position, so the cost is
+    * O(|small| · log(|large| / |small|)) rather than O(|small| + |large|).
+    */
+  private def gallopIntersectionSize(small: Array[Long], large: Array[Long]): Int = {
+    var n = 0; var lo = 0; var i = 0
+    while (i < small.length && lo < large.length) {
+      val p = gallop(large, lo, small(i))
+      if (p >= 0) { n += 1; lo = p + 1 } else lo = -p - 1
+      i += 1
     }
     n
   }
 
-  /** Sorted union of two sorted arrays — used by the CJSP merge step. */
-  def union(a: Array[Long], b: Array[Long]): Array[Long] = {
-    val out = new Array[Long](a.length + b.length)
-    var i = 0; var j = 0; var n = 0
-    while (i < a.length && j < b.length) {
-      val c = java.lang.Long.compare(a(i), b(j))
-      if (c == 0) { out(n) = a(i); i += 1; j += 1 }
-      else if (c < 0) { out(n) = a(i); i += 1 }
-      else { out(n) = b(j); j += 1 }
-      n += 1
+  /** Position of `v` in sorted `a`, searched from `from` (every element
+    * before `from` must be < v): doubling steps forward, then a binary
+    * search over the last step. Returns what `Arrays.binarySearch` does.
+    */
+  private def gallop(a: Array[Long], from: Int, v: Long): Int = {
+    var lo = from; var hi = from; var step = 1
+    while (hi < a.length && a(hi) < v) { lo = hi + 1; hi = lo + step; step <<= 1 }
+    java.util.Arrays.binarySearch(a, lo, math.min(hi + 1, a.length), v)
+  }
+
+  /** Sorted union of two sorted arrays — used by the CJSP merge step.
+    * When one side is more than [[GallopRatio]] times longer, the runs of
+    * the longer side between the cells of the shorter one are block-copied.
+    */
+  def union(a: Array[Long], b: Array[Long]): Array[Long] =
+    if (a.length / GallopRatio > b.length) gallopUnion(b, a)
+    else if (b.length / GallopRatio > a.length) gallopUnion(a, b)
+    else {
+      val out = new Array[Long](a.length + b.length)
+      var i = 0; var j = 0; var n = 0
+      while (i < a.length && j < b.length) {
+        val c = java.lang.Long.compare(a(i), b(j))
+        if (c == 0) { out(n) = a(i); i += 1; j += 1 }
+        else if (c < 0) { out(n) = a(i); i += 1 }
+        else { out(n) = b(j); j += 1 }
+        n += 1
+      }
+      while (i < a.length) { out(n) = a(i); i += 1; n += 1 }
+      while (j < b.length) { out(n) = b(j); j += 1; n += 1 }
+      java.util.Arrays.copyOf(out, n)
     }
-    while (i < a.length) { out(n) = a(i); i += 1; n += 1 }
-    while (j < b.length) { out(n) = b(j); j += 1; n += 1 }
-    java.util.Arrays.copyOf(out, n)
+
+  /** `small ∪ large`: each cell of `small` is placed with [[gallop]] and
+    * the run of `large` before it is copied in one block.
+    */
+  private def gallopUnion(small: Array[Long], large: Array[Long]): Array[Long] = {
+    val out = new Array[Long](small.length + large.length - gallopIntersectionSize(small, large))
+    var lo = 0; var n = 0; var i = 0
+    while (i < small.length) {
+      val p = gallop(large, lo, small(i))
+      val at = if (p >= 0) p else -p - 1
+      System.arraycopy(large, lo, out, n, at - lo); n += at - lo
+      out(n) = small(i); n += 1
+      lo = if (p >= 0) p + 1 else at
+      i += 1
+    }
+    System.arraycopy(large, lo, out, n, large.length - lo)
+    out
   }
 
   /** Marginal gain `g(S_D, R) = |S_D ∪ R| − |R|` (Eq. 3) — the number of
@@ -135,58 +193,101 @@ object CellSet {
     out
   }
 
+  /** Marks an unused [[NeighborIndex]] slot; no bucket key has bx = Int.MinValue. */
+  private final val EmptyBucket = Long.MinValue
+
   /** Exact δ-connectivity tester over one cell set, backed by a uniform
-    * hash-bucket grid of bucket side max(1, δ): any cell within Euclidean
-    * distance δ of a probe cell lies in one of the 3×3 neighbouring
-    * buckets, so [[connectedTo]] is equivalent to `minDist ≤ δ` while
-    * probing O(|other| · bucket occupancy) instead of O(|this| · |other|).
-    * Used by the greedy CJSP variants, whose merged sets grow large.
+    * grid of buckets of side max(1, δ): any cell within Euclidean distance
+    * δ of a probe cell lies in one of the 3×3 neighbouring buckets, so
+    * [[connectedTo]] is equivalent to `minDist ≤ δ` while probing
+    * O(|other| · bucket occupancy) instead of O(|this| · |other|).
+    * Used by every greedy CJSP variant.
+    *
+    * The buckets sit in an open-addressing table of primitive keys
+    * (bx:32|by:32; linear probing, load ≤ 1/2). Table slot `s` owns the
+    * member coordinates `xs`/`ys(offs(s) until offs(s + 1))`, filled by
+    * counting each bucket's members and then placing them: two passes,
+    * no sort and nothing boxed.
     */
   final class NeighborIndex(cells: Array[Long], delta: Double) extends Serializable {
     requireDelta(delta)
     private val b = math.max(1, math.ceil(delta).toInt)
     private val d2max = delta * delta
-    // bucket key (bx:32|by:32) → packed coords (x:32|y:32) of member cells.
-    private val buckets = new java.util.HashMap[Long, Array[Long]]()
+    private val bits = 1 + (32 - Integer.numberOfLeadingZeros(math.max(1, cells.length)))
+    private val mask = (1 << bits) - 1
+    private val keys = new Array[Long](mask + 1)
+    private val offs = new Array[Int](mask + 2)
+    private val xs = new Array[Int](cells.length)
+    private val ys = new Array[Int](cells.length)
     locally {
-      val tmp = new scala.collection.mutable.HashMap[Long, scala.collection.mutable.ArrayBuffer[Long]]()
+      java.util.Arrays.fill(keys, EmptyBucket)
+      val slotOf = new Array[Int](cells.length)
       var i = 0
       while (i < cells.length) {
-        val x = Grid.cellX(cells(i)); val y = Grid.cellY(cells(i))
-        val key = ((x / b).toLong << 32) | ((y / b).toLong & 0xffffffffL)
-        tmp.getOrElseUpdate(key, scala.collection.mutable.ArrayBuffer.empty) +=
-          ((x.toLong << 32) | (y.toLong & 0xffffffffL))
+        val key = bucketKey(Grid.cellX(cells(i)) / b, Grid.cellY(cells(i)) / b)
+        var s = home(key)
+        while (keys(s) != key && keys(s) != EmptyBucket) s = (s + 1) & mask
+        keys(s) = key
+        slotOf(i) = s; offs(s + 1) += 1
         i += 1
       }
-      tmp.foreach { case (k, v) => buckets.put(k, v.toArray) }
+      var s = 0
+      while (s <= mask) { offs(s + 1) += offs(s); s += 1 }
+      val next = java.util.Arrays.copyOf(offs, mask + 1)
+      i = 0
+      while (i < cells.length) {
+        val p = next(slotOf(i)); next(slotOf(i)) = p + 1
+        xs(p) = Grid.cellX(cells(i)); ys(p) = Grid.cellY(cells(i))
+        i += 1
+      }
+    }
+
+    private def bucketKey(bx: Int, by: Int): Long = (bx.toLong << 32) | (by.toLong & 0xffffffffL)
+
+    /** Fibonacci hashing: the top `bits` bits of the key times 2^64/φ. */
+    private def home(key: Long): Int = ((key * 0x9E3779B97F4A7C15L) >>> (64 - bits)).toInt
+
+    /** Table slot of bucket `key`, or −1 when the bucket is empty. */
+    private def slot(key: Long): Int = {
+      var s = home(key)
+      while (keys(s) != key) {
+        if (keys(s) == EmptyBucket) return -1
+        s = (s + 1) & mask
+      }
+      s
     }
 
     /** Whether any cell of `other` is within δ of any indexed cell. */
     def connectedTo(other: Array[Long]): Boolean = connectedToPacked(packXY(other))
 
-    /** Same, over coordinates already packed with [[packXY]]. */
+    /** Same, over coordinates already packed with [[packXY]]. Cells that
+      * fall in the same bucket as the previous one reuse its 3×3 table
+      * slots.
+      */
     def connectedToPacked(other: Array[Long]): Boolean = {
+      val near = new Array[Int](9)
+      var lastBx = -1; var lastBy = -1
       var i = 0
       while (i < other.length) {
         val x = (other(i) >> 32).toInt; val y = other(i).toInt
         val bx = x / b; val by = y / b
-        var dx = -1
-        while (dx <= 1) {
-          var dy = -1
-          while (dy <= 1) {
-            val pts = buckets.get(((bx + dx).toLong << 32) | ((by + dy).toLong & 0xffffffffL))
-            if (pts != null) {
-              var j = 0
-              while (j < pts.length) {
-                val px = (pts(j) >> 32).toInt; val py = pts(j).toInt
-                val ddx = (x - px).toDouble; val ddy = (y - py).toDouble
-                if (ddx * ddx + ddy * ddy <= d2max) return true
-                j += 1
-              }
+        if (bx != lastBx || by != lastBy) {
+          var t = 0
+          while (t < 9) { near(t) = slot(bucketKey(bx + t / 3 - 1, by + t % 3 - 1)); t += 1 }
+          lastBx = bx; lastBy = by
+        }
+        var t = 0
+        while (t < 9) {
+          val s = near(t)
+          if (s >= 0) {
+            var j = offs(s); val end = offs(s + 1)
+            while (j < end) {
+              val ddx = (x - xs(j)).toDouble; val ddy = (y - ys(j)).toDouble
+              if (ddx * ddx + ddy * ddy <= d2max) return true
+              j += 1
             }
-            dy += 1
           }
-          dx += 1
+          t += 1
         }
         i += 1
       }

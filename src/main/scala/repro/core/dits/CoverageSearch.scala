@@ -18,7 +18,9 @@ final case class CoverageResult(picked: Seq[Int], coverage: Int)
   *   lb = max(‖p_N, p_M‖ − r_N − r_M, 0)   ub = ‖p_N, p_M‖ + r_N + r_M
   *
   * Subtrees with `ub ≤ δ` are connected wholesale; subtrees with `lb > δ`
-  * are pruned; leaves in between verify the exact cell-set distance.
+  * or whose rect lies farther than δ from the merged rect are pruned;
+  * leaves in between verify the exact cell-set distance of each dataset
+  * whose own rect passes the same rect test.
   *
   * Since dist(S, A ∪ B) = min(dist(S, A), dist(S, B)), the datasets
   * connected to the merged set are those connected to the query plus those
@@ -56,18 +58,28 @@ object CoverageSearch {
   /** FindConnectSet against a prebuilt δ-connectivity tester (reused when
     * the same merged set probes several subtrees). Datasets whose id is
     * `known` are skipped before the exact test and left out of `out`.
+    *
+    * Beside Lemma 4's ball bound, the distance between two rects is a
+    * lower bound on the cell distance (every cell lies inside its node's
+    * rect and `mergedRect` holds every merged cell), so a node or dataset
+    * whose rect lies farther than δ from `mergedRect` is pruned before the
+    * exact leaf test. Both bounds are exact: nothing connected is lost.
     */
   def findConnected(root: TreeNode, mergedRect: MBR, merged: CellSet.NeighborIndex,
                     delta: Double, out: mutable.ArrayBuffer[DatasetNode],
                     known: Int => Boolean = _ => false): Unit = {
     val mp = mergedRect.pivot; val mr = mergedRect.radius
+    def near(r: MBR): Boolean = r.minDist(mergedRect) <= delta
     def go(n: TreeNode): Unit = {
       val (lb, ub) = distBounds(n.pivot, n.radius, mp, mr)
       if (ub <= delta) n.datasets.foreach(d => if (!known(d.id)) out += d) // whole subtree connected
-      else if (lb <= delta) n match {
+      else if (lb <= delta && near(n.rect)) n match {
         case l: Leaf =>
-          l.children.foreach { d =>
-            if (!known(d.id) && merged.connectedToPacked(d.packedXY)) out += d
+          var c = 0
+          while (c < l.children.length) {
+            val d = l.children(c)
+            if (near(d.rect) && !known(d.id) && merged.connectedToPacked(d.packedXY)) out += d
+            c += 1
           }
         case i: Internal => go(i.left); go(i.right)
       }
@@ -91,14 +103,15 @@ object CoverageSearch {
     var covered = CellSet.of(queryCells)
     if (covered.isEmpty) return CoverageResult(Nil, 0)
     val picked = mutable.ArrayBuffer.empty[Int]
-    val pooled = mutable.HashSet.empty[Int]
+    val pooled = new IntSet
     val heap = mutable.PriorityQueue.empty[Entry](byGainThenId)
     // Pool every dataset directly connected to `cells` and not pooled yet.
     def grow(rect: MBR, cells: Array[Long]): Unit = {
       val found = mutable.ArrayBuffer.empty[DatasetNode]
-      findConnected(index.root, rect, new CellSet.NeighborIndex(cells, delta), delta, found, pooled)
+      findConnected(index.root, rect, new CellSet.NeighborIndex(cells, delta), delta, found,
+                    id => pooled.contains(id))
       found.foreach { d =>
-        pooled += d.id
+        pooled.add(d.id)
         heap.enqueue(new Entry(d, CellSet.marginalGain(d.cells, covered), picked.length))
       }
     }
@@ -116,5 +129,39 @@ object CoverageSearch {
       }
     }
     CoverageResult(picked.toSeq, covered.length)
+  }
+
+  /** A set of ints in an open-addressing table of longs (linear probing,
+    * load ≤ 1/2), so membership tests box nothing.
+    */
+  private final class IntSet {
+    private val Empty = Long.MinValue // no Int widens to it
+    private var table = Array.fill(16)(Empty)
+    private var shift = 28 // 32 − log2(table.length)
+    private var size = 0
+
+    /** Fibonacci hashing: the top bits of x times 2^32/φ. */
+    private def home(x: Int): Int = (x * 0x9E3779B9) >>> shift
+
+    def contains(x: Int): Boolean = {
+      var s = home(x)
+      while (table(s) != Empty) { if (table(s) == x) return true; s = (s + 1) & (table.length - 1) }
+      false
+    }
+
+    def add(x: Int): Unit = if (!contains(x)) {
+      if (2 * (size + 1) > table.length) {
+        val old = table
+        table = Array.fill(2 * old.length)(Empty); shift -= 1
+        old.foreach(v => if (v != Empty) put(v.toInt))
+      }
+      put(x); size += 1
+    }
+
+    private def put(x: Int): Unit = {
+      var s = home(x)
+      while (table(s) != Empty) s = (s + 1) & (table.length - 1)
+      table(s) = x
+    }
   }
 }

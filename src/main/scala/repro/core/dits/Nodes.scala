@@ -5,11 +5,14 @@ import scala.collection.mutable
 
 /** Dataset node (Def. 12): one spatial dataset summarised by its MBR in
   * cell-coordinate space, pivot, radius, and its cell-based set.
+  *
+  * Built only by [[DatasetNode.apply]], so `rect` is always the MBR of
+  * `cells`; FindConnectSet's rect prefilter depends on it.
   */
-final class DatasetNode(
+final class DatasetNode private (
     val id: Int,
-    var rect: MBR,
-    var cells: Array[Long],
+    val rect: MBR,
+    val cells: Array[Long],
 ) extends Serializable {
   var parent: Leaf = _
   def pivot: Point  = rect.pivot

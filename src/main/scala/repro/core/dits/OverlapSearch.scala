@@ -105,13 +105,6 @@ object OverlapSearch {
     if (p >= 0) p + 1 else -p - 1
   }
 
-  /** Heap order: the weakest kept hit first — lower overlap, then larger id. */
-  private object Weakest extends Ordering[OverlapHit] {
-    def compare(a: OverlapHit, b: OverlapHit): Int =
-      if (a.overlap != b.overlap) Integer.compare(b.overlap, a.overlap)
-      else Integer.compare(a.id, b.id)
-  }
-
   /** Top-k datasets by exact overlap with `query` (sorted cell IDs).
     * Datasets with overlap 0 are never returned (their MBRs are pruned).
     * Ties are broken by smaller dataset id for determinism.
@@ -122,46 +115,95 @@ object OverlapSearch {
     val qRect = CellSet.mbr(queryCells)
 
     // ---- Filter: collect candidate leaves with bounds (BranchAndBound). --
-    val cands = mutable.ArrayBuffer.empty[(Leaf, Int)] // (leaf, ub)
+    // Candidate c is `leaves(c)`; `order(c)` packs (Int.MaxValue − ub, c),
+    // so sorting it gives descending ub, ties in descent order.
+    val leaves = mutable.ArrayBuffer.empty[Leaf]
+    var order = new Array[Long](16)
     def descend(n: TreeNode): Unit = n match {
       case l: Leaf =>
         if (l.rect.intersects(qRect)) {
           val ub = upperBound(l, queryCells)
-          if (ub > 0) cands += ((l, ub))
+          if (ub > 0) {
+            if (leaves.length == order.length) order = java.util.Arrays.copyOf(order, 2 * order.length)
+            order(leaves.length) = ((Int.MaxValue - ub).toLong << 32) | leaves.length
+            leaves += l
+          }
         }
       case i: Internal =>
         if (i.rect.intersects(qRect)) { descend(i.left); descend(i.right) }
     }
     descend(index.root)
+    java.util.Arrays.sort(order, 0, leaves.length)
 
     // ---- Verification in descending-ub order with a top-k min-heap. -----
-    // Ties prefer smaller ids: a hit equal to the weakest kept one on
-    // overlap replaces it only with a smaller id.
-    val heap = mutable.PriorityQueue.empty[OverlapHit](Weakest) // head = weakest
-    def kth: Int = if (heap.size < k) 0 else heap.head.overlap
+    val heap = new TopK(k)
     var counts = new Array[Int](index.capacity)
-
-    for ((leaf, ub) <- cands.sortBy(-_._2)) {
-      if (!(heap.size >= k && ub < kth)) { // batch prune (Alg. 2 line 19)
+    var c = 0
+    while (c < leaves.length) {
+      val ub = Int.MaxValue - (order(c) >>> 32).toInt
+      if (!(heap.full && ub < heap.kth)) { // batch prune (Alg. 2 line 19)
+        val leaf = leaves(order(c).toInt)
         val n = leaf.children.length
         if (counts.length < n) counts = new Array[Int](n)
         countOverlaps(leaf, queryCells, counts)
         var s = 0
         while (s < n) {
-          val ov = counts(s)
-          if (ov > 0) {
-            counts(s) = 0
-            val id = leaf.children(s).id
-            if (heap.size < k) heap.enqueue(OverlapHit(id, ov))
-            else if (ov > heap.head.overlap ||
-                     (ov == heap.head.overlap && id < heap.head.id)) {
-              heap.dequeue(); heap.enqueue(OverlapHit(id, ov))
-            }
-          }
+          if (counts(s) > 0) { heap.offer(counts(s), leaf.children(s).id); counts(s) = 0 }
           s += 1
         }
       }
+      c += 1
     }
-    heap.dequeueAll.reverse.toSeq
+    heap.result
+  }
+
+  /** The best k (overlap, id) pairs offered, best first: higher overlap,
+    * then the smaller id. A min-heap of packed longs whose root is the
+    * weakest kept pair; it grows as pairs arrive, up to k.
+    */
+  private final class TopK(k: Int) {
+    private var heap = new Array[Long](math.min(k, 16))
+    private var size = 0
+
+    def full: Boolean = size == k
+    /** The k-th best overlap once [[full]]. */
+    def kth: Int = (heap(0) >>> 32).toInt
+
+    /** Orders by overlap, then by descending id: a pair beats another
+      * exactly when its key is larger.
+      */
+    private def key(overlap: Int, id: Int): Long =
+      (overlap.toLong << 32) | ((id ^ 0x7fffffff).toLong & 0xffffffffL)
+
+    def offer(overlap: Int, id: Int): Unit = {
+      val x = key(overlap, id)
+      if (size < k) {
+        if (size == heap.length) heap = java.util.Arrays.copyOf(heap, math.min(k, 2 * size))
+        var i = size; size += 1
+        while (i > 0 && heap((i - 1) / 2) > x) { heap(i) = heap((i - 1) / 2); i = (i - 1) / 2 }
+        heap(i) = x
+      } else if (x > heap(0)) { // sift the new pair down from the root
+        var i = 0; var done = false
+        while (!done) {
+          var m = 2 * i + 1
+          if (m + 1 < size && heap(m + 1) < heap(m)) m += 1
+          if (m < size && heap(m) < x) { heap(i) = heap(m); i = m } else done = true
+        }
+        heap(i) = x
+      }
+    }
+
+    def result: Seq[OverlapHit] = {
+      val keys = java.util.Arrays.copyOf(heap, size)
+      java.util.Arrays.sort(keys)
+      val out = new Array[OverlapHit](size)
+      var i = 0
+      while (i < size) {
+        val x = keys(size - 1 - i)
+        out(i) = OverlapHit(x.toInt ^ 0x7fffffff, (x >>> 32).toInt)
+        i += 1
+      }
+      scala.collection.immutable.ArraySeq.unsafeWrapArray(out)
+    }
   }
 }

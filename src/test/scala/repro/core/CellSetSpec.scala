@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => PropTest}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -121,5 +123,91 @@ class CellSetSpec extends AnyFunSuite {
     assert(CellSet.sortedDistinct(b, 3) eq b)
     assert(b.toSeq == Seq(1L, 2L, 3L))
     assert(CellSet.sortedDistinct(Array.emptyLongArray, 0).isEmpty)
+  }
+
+  /** A small cell set on a 2^θ × 2^θ grid, up to `max` cells and mostly
+    * one to three (so a single pair decides connectivity), drawn with
+    * extra weight on the border coordinates 0 and 2^θ − 1 (θ = 28 reaches
+    * the largest coordinate a cell ID holds).
+    */
+  private def cellsOn(theta: Int, max: Int): Gen[Array[Long]] = {
+    val top = (1 << theta) - 1
+    val coord = Gen.frequency(2 -> Gen.oneOf(0, top), 3 -> Gen.choose(0, math.min(top, 5)),
+                              3 -> Gen.choose(math.max(0, top - 5), top))
+    Gen.frequency(1 -> Gen.const(0), 6 -> Gen.choose(1, 3), 3 -> Gen.choose(4, max))
+      .flatMap(Gen.listOfN(_, Gen.zip(coord, coord)))
+      .map(xys => CellSet.of(xys.map { case (x, y) => Grid.interleave(x, y) }))
+  }
+
+  private val thetas = Gen.oneOf(1, 2, 3, 4, 28)
+  private val deltas = Gen.oneOf(0.0, 0.5, 1.0, math.sqrt(2), 5.0, 1e9, Double.PositiveInfinity)
+
+  private def check(prop: Prop): Unit = {
+    val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(1000), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  /** Cells of `a` moved by up to 6 in each direction, clamped to the
+    * grid: pairs at every direction and distance around the thresholds.
+    */
+  private def shifted(theta: Int, a: Array[Long]): Gen[Array[Long]] =
+    if (a.isEmpty) Gen.const(a)
+    else {
+      val top = (1 << theta) - 1
+      val move = Gen.zip(Gen.oneOf(a.toSeq), Gen.choose(-6, 6), Gen.choose(-6, 6)).map { case (c, dx, dy) =>
+        Grid.interleave(math.min(top, math.max(0, Grid.cellX(c) + dx)),
+                        math.min(top, math.max(0, Grid.cellY(c) + dy)))
+      }
+      Gen.choose(1, 3).flatMap(Gen.listOfN(_, move)).map(CellSet.of(_))
+    }
+
+  private val cellPairs: Gen[(Array[Long], Array[Long])] = for {
+    theta <- thetas
+    a <- cellsOn(theta, 12)
+    b <- Gen.frequency(1 -> cellsOn(theta, 12), 3 -> shifted(theta, a))
+  } yield (a, b)
+
+  test("NeighborIndex ≡ CellSet.connected on tiny grids, borders, empty sets and every δ (property)") {
+    check(Prop.forAll(cellPairs, deltas) { case ((a, b), delta) =>
+      val exp = CellSet.connected(a, b, delta)
+      Prop(new CellSet.NeighborIndex(a, delta).connectedTo(b) == exp) :|
+        s"a=${a.map(Grid.deinterleave).toSeq} b=${b.map(Grid.deinterleave).toSeq} δ=$delta expected $exp"
+    })
+  }
+
+  test("NeighborIndex ≡ CellSet.connected for every single-cell pair up to 7 apart") {
+    val top = (1 << 28) - 1
+    val anchors = (for (x <- 0 until 12; y <- 0 until 12) yield (x, y)) ++ Seq((top, top), (top - 5, 3))
+    for (delta <- Seq(0.0, 0.5, 1.0, math.sqrt(2), 2.5, 5.0, Double.PositiveInfinity); (ax, ay) <- anchors) {
+      val a = Array(Grid.interleave(ax, ay))
+      val idx = new CellSet.NeighborIndex(a, delta)
+      for (dx <- -7 to 7; dy <- -7 to 7) {
+        val (bx, by) = (ax + dx, ay + dy)
+        if (bx >= 0 && by >= 0 && bx <= top && by <= top) {
+          val b = Array(Grid.interleave(bx, by))
+          assert(idx.connectedTo(b) == CellSet.connected(a, b, delta), s"a=($ax,$ay) b=($bx,$by) δ=$delta")
+        }
+      }
+    }
+  }
+
+  test("the distance of two cell sets' MBRs is a lower bound on their cell distance (property)") {
+    check(Prop.forAll(cellPairs) { case (a, b) =>
+      (a.nonEmpty && b.nonEmpty) ==> (CellSet.mbr(a).minDist(CellSet.mbr(b)) <= CellSet.minDist(a, b))
+    })
+  }
+
+  test("intersectionSize, union and marginalGain ≡ Scala sets at any length ratio (property)") {
+    val cells = Gen.choose(0, 400).flatMap(span =>
+      Gen.frequency(1 -> Gen.const(0), 4 -> Gen.choose(1, 20), 2 -> Gen.choose(21, 2000))
+        .flatMap(Gen.listOfN(_, Gen.choose(0L, span.toLong))).map(CellSet.of(_)))
+    check(Prop.forAll(cells, cells) { (a, b) =>
+      val exp = a.toSet.intersect(b.toSet).size
+      val union = (a ++ b).distinct.sorted.toSeq
+      Prop(CellSet.intersectionSize(a, b) == exp && CellSet.intersectionSize(b, a) == exp &&
+           CellSet.marginalGain(a, b) == a.length - exp &&
+           CellSet.union(a, b).toSeq == union && CellSet.union(b, a).toSeq == union) :|
+        s"|a|=${a.length} |b|=${b.length}"
+    })
   }
 }

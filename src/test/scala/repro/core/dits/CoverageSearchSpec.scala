@@ -229,4 +229,34 @@ class CoverageSearchSpec extends AnyFunSuite {
     val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(1000), prop)
     assert(res.passed, res.status.toString)
   }
+
+  /** FindConnectSet is exact: with or without a `known` predicate it
+    * returns every dataset connected to the merged set and nothing else,
+    * whatever the Lemma 4 and rect bounds prune. δ = 0 and δ = 1 put
+    * connected datasets right at the rect bound.
+    */
+  test("findConnected ≡ brute-force connectivity filter, with and without known (property)") {
+    val cases = for {
+      in <- instances
+      merged <- Gen.oneOf(Gen.const(in.query), Gen.oneOf(in.ds).map(_._2))
+      known <- Gen.someOf(in.ds.map(_._1))
+    } yield (in, merged, known.toSet)
+    val prop = Prop.forAll(cases) { case (in, merged, known) =>
+      val ix = DitsLocal.build(in.ds, in.capacity)
+      val all = scala.collection.mutable.ArrayBuffer.empty[DatasetNode]
+      val unknown = scala.collection.mutable.ArrayBuffer.empty[DatasetNode]
+      if (merged.nonEmpty) {
+        val rect = CellSet.mbr(merged)
+        CoverageSearch.findConnected(ix.root, rect, merged, in.delta, all)
+        CoverageSearch.findConnected(ix.root, rect, new CellSet.NeighborIndex(merged, in.delta),
+                                     in.delta, unknown, known)
+      }
+      val connected = in.ds.collect { case (id, cs) if CellSet.connected(cs, merged, in.delta) => id }.sorted
+      val got = all.map(_.id).sorted; val gotUnknown = unknown.map(_.id).sorted
+      Prop(got == connected) :| s"got=$got brute=$connected" &&
+        Prop(gotUnknown == connected.filterNot(known)) :| s"got=$gotUnknown brute=$connected known=$known"
+    }
+    val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(1000), prop)
+    assert(res.passed, res.status.toString)
+  }
 }

@@ -183,6 +183,17 @@ class OverlapSearchSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
+  test("ties at the k boundary go to the smaller id across the whole Int range") {
+    val a = CellSet.of(Seq(Grid.interleave(1, 1), Grid.interleave(2, 2)))
+    val b = CellSet.of(Seq(Grid.interleave(1, 1)))
+    val ids = Seq(Int.MaxValue, 0, -1, Int.MinValue, 7, Int.MaxValue - 1)
+    val ds = ids.zipWithIndex.map { case (id, i) => id -> (if (i % 2 == 0) a else b) }
+    for (f <- Seq(2, 6); k <- 1 to ids.length + 1) {
+      val got = OverlapSearch.search(DitsLocal.build(ds, f), a, k)
+      assert(got == BruteForce.overlapTopK(ds, a, k), s"f=$f k=$k")
+    }
+  }
+
   test("bounds and verification count query cells at both ends of a leaf's key range") {
     val a = CellSet.of(Seq(Grid.interleave(1, 1), Grid.interleave(2, 2), Grid.interleave(3, 3)))
     val b = CellSet.of(Seq(Grid.interleave(2, 2), Grid.interleave(3, 3), Grid.interleave(4, 4)))
