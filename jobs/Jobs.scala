@@ -83,7 +83,7 @@ object IndexUpdateJob {
 
 /** End-to-end distributed run: build the five sources as DataFrames, build
   * the distributed DITS, and run OJSP + CJSP through both the dataflow
-  * operator and the pruned partition-parallel operator.
+  * operator and the data center over Spark-resident sources.
   */
 object DistributedSearchJob {
   def main(args: Array[String]): Unit = {
@@ -101,8 +101,9 @@ object DistributedSearchJob {
     val dits = DistributedDits.build(cells, grid, Workloads.ParamGrid.fDefault)
     val query = Workloads.sampleQueries(Workloads.cellSources(grid.theta, scale), 1).head
 
-    val (hits, shippedCells) = dits.overlapTopK(query, Workloads.ParamGrid.kDefault)
-    println(s"OJSP top-${Workloads.ParamGrid.kDefault} (shipped $shippedCells cells):")
+    val (hits, comm) = dits.overlapTopK(query, Workloads.ParamGrid.kDefault)
+    println(s"OJSP top-${Workloads.ParamGrid.kDefault} (${comm.messages} messages, " +
+            s"${comm.bytesSent} bytes sent, ${comm.bytesReceived} bytes received):")
     hits.foreach { case (s, d, ov) => println(s"  source=$s dataset=$d overlap=$ov") }
 
     import spark.implicits._

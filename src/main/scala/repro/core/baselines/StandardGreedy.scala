@@ -1,7 +1,7 @@
 package repro.core.baselines
 
 import repro.core.CellSet
-import repro.core.dits.{CoverageResult, CoverageSearch, DitsLocal}
+import repro.core.dits.{CoverageResult, CoverageSearch, DatasetNode, DitsLocal}
 import scala.collection.mutable
 
 /** CJSP baselines of Section VII-D.
@@ -16,49 +16,39 @@ import scala.collection.mutable
   * connected candidates through DITS-L's FindConnectSet (Lemma 4 bounds)
   * — one tree search per member of R, without CoverageSearch's merge
   * strategy.
+  *
+  * Both pick with [[CoverageSearch.bestGain]]: gain ties keep the smaller id.
   */
 object StandardGreedy {
 
-  /** SG — index-free greedy. Deterministic: gain ties keep the smaller id.
-    * Each member of R carries a NeighborIndex so the per-round exhaustive
-    * connectivity scan stays exact but avoids O(|S|·|S'|) pair loops.
+  /** SG — index-free greedy. Each member of R carries a NeighborIndex so
+    * the per-round exhaustive connectivity scan stays exact but avoids
+    * O(|S|·|S'|) pair loops.
     */
   def sg(datasets: Seq[(Int, Array[Long])], query: Array[Long],
          delta: Double, k: Int): CoverageResult = {
+    require(k > 0, "k must be positive")
     CellSet.requireDelta(delta)
     var covered = CellSet.of(query)
     val members = mutable.ArrayBuffer(new CellSet.NeighborIndex(covered, delta))
     val picked = mutable.ArrayBuffer.empty[Int]
     val pickedIds = mutable.HashSet.empty[Int]
-    // Decode every dataset's grid coordinates once: every round re-probes
-    // the full collection (this is exactly why SG is slow — but there is
-    // no reason to also re-decode). Scanning in id order makes the first
-    // of equal gains the smaller id, whatever the input order.
-    val packed = datasets.sortBy(_._1).map { case (id, cells) => (id, cells, CellSet.packXY(cells)) }
+    // Every round re-probes the full collection (this is exactly why SG is
+    // slow), but each dataset's grid coordinates are decoded once, in its node.
+    val nodes = datasets.map { case (id, cells) => DatasetNode(id, cells) }
 
-    var it = 0
     var exhausted = false
-    while (it < k && !exhausted) {
-      var tau = -1
-      var best: (Int, Array[Long]) = null
-      packed.foreach { case (id, cells, xy) =>
-        if (!pickedIds.contains(id) && cells.length > tau) {
-          // Directly connected to any member keeps R ∪ {Q} connected
-          // (members are themselves connected to Q transitively).
-          val conn = members.exists(_.connectedToPacked(xy))
-          if (conn) {
-            val g = CellSet.marginalGain(cells, covered)
-            if (g > tau) { tau = g; best = (id, cells) }
-          }
-        }
+    while (picked.length < k && !exhausted) {
+      // Directly connected to any member keeps R ∪ {Q} connected
+      // (members are themselves connected to Q transitively).
+      CoverageSearch.bestGain(nodes, covered)(d =>
+        !pickedIds(d.id) && members.exists(_.connectedToPacked(d.packedXY))) match {
+        case Some(d) =>
+          picked += d.id; pickedIds += d.id
+          members += new CellSet.NeighborIndex(d.cells, delta)
+          covered = CellSet.union(covered, d.cells)
+        case None => exhausted = true
       }
-      if (best == null) exhausted = true
-      else {
-        picked += best._1; pickedIds += best._1
-        members += new CellSet.NeighborIndex(best._2, delta)
-        covered = CellSet.union(covered, best._2)
-      }
-      it += 1
     }
     CoverageResult(picked.toSeq, covered.length)
   }
@@ -67,6 +57,7 @@ object StandardGreedy {
     * FindConnectSet per member of R per round (no merge strategy).
     */
   def sgDits(index: DitsLocal, query: Array[Long], delta: Double, k: Int): CoverageResult = {
+    require(k > 0, "k must be positive")
     CellSet.requireDelta(delta)
     var covered = CellSet.of(query)
     if (covered.isEmpty) return CoverageResult(Nil, 0)
@@ -76,30 +67,19 @@ object StandardGreedy {
     val picked = mutable.ArrayBuffer.empty[Int]
     val pickedIds = mutable.HashSet.empty[Int]
 
-    var it = 0
     var exhausted = false
-    while (it < k && !exhausted) {
-      val cand = mutable.LinkedHashMap.empty[Int, Array[Long]]
+    while (picked.length < k && !exhausted) {
+      val cand = mutable.ArrayBuffer.empty[DatasetNode]
       members.foreach { case (rect, tester) =>
-        val out = mutable.ArrayBuffer.empty[repro.core.dits.DatasetNode]
-        CoverageSearch.findConnected(index.root, rect, tester, delta, out)
-        out.foreach(d => if (!pickedIds.contains(d.id)) cand.getOrElseUpdate(d.id, d.cells))
+        CoverageSearch.findConnected(index.root, rect, tester, delta, cand, pickedIds)
       }
-      var tau = -1
-      var best: (Int, Array[Long]) = null
-      cand.toSeq.sortBy(_._1).foreach { case (id, cells) =>
-        if (cells.length > tau) {
-          val g = CellSet.marginalGain(cells, covered)
-          if (g > tau) { tau = g; best = (id, cells) }
-        }
+      CoverageSearch.bestGain(cand.distinct, covered)(_ => true) match {
+        case Some(d) =>
+          picked += d.id; pickedIds += d.id
+          members += ((d.rect, new CellSet.NeighborIndex(d.cells, delta)))
+          covered = CellSet.union(covered, d.cells)
+        case None => exhausted = true
       }
-      if (best == null) exhausted = true
-      else {
-        picked += best._1; pickedIds += best._1
-        members += ((CellSet.mbr(best._2), new CellSet.NeighborIndex(best._2, delta)))
-        covered = CellSet.union(covered, best._2)
-      }
-      it += 1
     }
     CoverageResult(picked.toSeq, covered.length)
   }

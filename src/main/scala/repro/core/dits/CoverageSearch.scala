@@ -87,6 +87,26 @@ object CoverageSearch {
     go(root)
   }
 
+  /** One greedy step: the admitted candidate of maximum marginal gain
+    * `|S_D \ covered|`, ties to the smaller id whatever the order of
+    * `cands`. A dataset with fewer cells than the best gain so far (or as
+    * many and a larger id) cannot win, so it is skipped before `admit` and
+    * its gain are evaluated. SG, SG+DITS and a source's CJSP round share it.
+    */
+  def bestGain(cands: Iterable[DatasetNode], covered: Array[Long])
+              (admit: DatasetNode => Boolean): Option[DatasetNode] = {
+    var best: DatasetNode = null
+    var tau = -1
+    def beats(g: Int, id: Int): Boolean = g > tau || (g == tau && id < best.id)
+    cands.foreach { d =>
+      if (beats(d.cells.length, d.id) && admit(d)) {
+        val g = CellSet.marginalGain(d.cells, covered)
+        if (beats(g, d.id)) { tau = g; best = d }
+      }
+    }
+    Option(best)
+  }
+
   /** A pooled candidate and its marginal gain as of round `round`. */
   private final class Entry(val d: DatasetNode, var gain: Int, var round: Int)
 

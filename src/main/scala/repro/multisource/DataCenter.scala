@@ -1,7 +1,7 @@
 package repro.multisource
 
-import repro.core.{CellSet, Grid, MBR, Point}
-import repro.core.dits.{DitsGlobal, OverlapHit, SourceSummary}
+import repro.core.{CellSet, MBR, Point}
+import repro.core.dits.{DitsGlobal, SourceSummary}
 import scala.collection.mutable
 
 /** Query distribution strategies of Section VI-A. */
@@ -23,6 +23,31 @@ final case class MultiHit(sourceId: Int, datasetId: Int, overlap: Int)
 /** A multi-source CJSP result. */
 final case class MultiCoverage(picked: Seq[(Int, Int)], coverage: Int)
 
+/** How the data center reaches its sources: their root summaries, sent
+  * once after the local builds, and one batch of requests per call. The
+  * center does all routing, clipping and byte accounting, so every
+  * transport counts the same bytes; a transport only carries the batch.
+  */
+trait SourceLink {
+  def summaries: Seq[SourceSummary]
+
+  /** Runs `f` on each source named in `requests` with its payload and
+    * returns the replies by source id. `f` travels to wherever the sources
+    * are, so it captures nothing but scalars.
+    */
+  def ask[P, A](requests: Seq[(Int, P)])(f: (SourceNode, P) => A): Map[Int, A]
+}
+
+object SourceLink {
+  /** Sources that live in this process. */
+  def local(nodes: Seq[SourceNode]): SourceLink = new SourceLink {
+    private val bySrc = nodes.map(n => n.sourceId -> n).toMap
+    val summaries: Seq[SourceSummary] = nodes.map(_.summary)
+    def ask[P, A](requests: Seq[(Int, P)])(f: (SourceNode, P) => A): Map[Int, A] =
+      requests.map { case (s, p) => s -> f(bySrc(s), p) }.toMap
+  }
+}
+
 /** The data center (Fig. 3): holds DITS-G, routes queries to candidate
   * sources under a distribution strategy, aggregates their answers, and
   * accounts every byte crossing the center↔source boundary.
@@ -31,38 +56,29 @@ final case class MultiCoverage(picked: Seq[(Int, Int)], coverage: Int)
   * with different grid resolutions can re-grid the query locally
   * (Section V-B).
   */
-final class DataCenter(sources: Seq[SourceNode]) {
+final class DataCenter(link: SourceLink) {
 
-  private val bySrc: Map[Int, SourceNode] = sources.map(s => s.sourceId -> s).toMap
-  val global: DitsGlobal = DitsGlobal.build(sources.map(_.summary))
+  /** A data center over sources in this process. */
+  def this(sources: Seq[SourceNode]) = this(SourceLink.local(sources))
+
+  val global: DitsGlobal = DitsGlobal.build(link.summaries)
 
   /** Query as lon/lat points (cell centres of the user's cell-based query
     * under the center's reference grid).
     */
   def overlapSearch(queryLonLat: Array[(Double, Double)], k: Int,
                     strategy: Distribution): (Seq[MultiHit], CommStats) = {
+    require(k > 0, "k must be positive")
     val comm = new CommStats
     if (queryLonLat.isEmpty) return (Nil, comm)
-    val qRect = MBR.of(queryLonLat.map { case (x, y) => Point(x, y) })
-    val targets: Seq[SourceSummary] = strategy match {
-      case Distribution.Broadcast => sources.map(_.summary)
-      case _                      => global.overlapCandidates(qRect)
+    val requests = ship(queryLonLat, strategy, comm)(global.overlapCandidates, _.lonLatRect)
+    val replies = link.ask(requests)((node, q) => node.localOverlap(q, k))
+    val all = requests.flatMap { case (s, _) =>
+      val hits = replies(s)
+      comm.receiveHits(hits.length)
+      hits.map(h => MultiHit(s, h.id, h.overlap))
     }
-    val all = mutable.ArrayBuffer.empty[MultiHit]
-    targets.foreach { t =>
-      val payload = strategy match {
-        case Distribution.Clipped =>
-          queryLonLat.filter { case (x, y) => t.lonLatRect.contains(Point(x, y)) }
-        case _ => queryLonLat
-      }
-      if (payload.nonEmpty) {
-        comm.sendCells(payload.length)
-        val hits = bySrc(t.sourceId).localOverlap(payload, k)
-        comm.receiveHits(hits.length)
-        hits.foreach(h => all += MultiHit(t.sourceId, h.id, h.overlap))
-      }
-    }
-    (all.sortBy(h => (-h.overlap, h.sourceId, h.datasetId)).take(k).toSeq, comm)
+    (all.sortBy(h => (-h.overlap, h.sourceId, h.datasetId)).take(k), comm)
   }
 
   /** Multi-source CJSP: k greedy rounds; each round ships the merged set
@@ -72,69 +88,67 @@ final class DataCenter(sources: Seq[SourceNode]) {
     */
   def coverageSearch(queryLonLat: Array[(Double, Double)], delta: Double, k: Int,
                      strategy: Distribution): (MultiCoverage, CommStats) = {
+    require(k > 0, "k must be positive")
+    CellSet.requireDelta(delta)
     val comm = new CommStats
     if (queryLonLat.isEmpty) return (MultiCoverage(Nil, 0), comm)
     // Covered set tracked under a reference grid (finest of the sources)
     // so coverage counting is well-defined across sources.
-    val refGrid = sources.map(_.grid).maxBy(_.theta)
-    var covered = CellSet.of(queryLonLat.map { case (x, y) => refGrid.cellOf(x, y) })
+    val refGrid = link.summaries.map(_.grid).maxBy(_.theta)
+    def refCells(pts: Array[(Double, Double)]) = CellSet.of(pts.map { case (x, y) => refGrid.cellOf(x, y) })
+    var covered = refCells(queryLonLat)
     var mergedPts = queryLonLat.distinct
     val picked = mutable.ArrayBuffer.empty[(Int, Int)]
     val excluded = mutable.HashMap.empty[Int, Set[Int]].withDefaultValue(Set.empty)
 
-    var it = 0
     var exhausted = false
-    while (it < k && !exhausted) {
-      val qRect = MBR.of(mergedPts.map { case (x, y) => Point(x, y) })
-      val targets = strategy match {
-        case Distribution.Broadcast => sources.map(_.summary)
-        case _                      => global.coverageCandidates(qRect, delta)
-      }
-      var best: Option[(Int, Int, Int, Array[(Double, Double)])] = None // (src, id, gain, cells)
-      targets.foreach { t =>
-        // +1 cell margin: shipped cell centres are up to half a cell away
-        // from the grid-coordinate corners δ is defined on.
-        val slack = (delta + 1) * math.max(t.grid.cellW, t.grid.cellH)
-        val payload = strategy match {
-          case Distribution.Clipped =>
-            val clipRect = t.lonLatRect.expand(slack)
-            mergedPts.filter { case (x, y) => clipRect.contains(Point(x, y)) }
-          case _ => mergedPts
-        }
-        if (payload.nonEmpty) {
-          // The clipped merged set serves as both the connectivity probe and
-          // the covered snapshot: covered cells outside the source's region
-          // cannot intersect any local dataset, so local gains stay exact.
-          comm.sendCells(payload.length)
-          val resp = bySrc(t.sourceId)
-            .localCoverageRound(payload, payload, excluded(t.sourceId), delta)
-          resp match {
-            case Some((id, _, cells)) =>
-              comm.receiveCells(cells.length)
-              // Re-rank by gain under the reference grid for fairness.
-              val g = CellSet.marginalGain(
-                CellSet.of(cells.map { case (x, y) => refGrid.cellOf(x, y) }), covered)
-              val beats = best match {
-                case None => true
-                case Some((bs, bid, bg, _)) =>
-                  g > bg || (g == bg && (t.sourceId < bs || (t.sourceId == bs && id < bid)))
-              }
-              if (beats) best = Some((t.sourceId, id, g, cells))
-            case None => comm.receiveHits(0)
-          }
+    while (picked.length < k && !exhausted) {
+      // +1 cell margin: shipped cell centres are up to half a cell away
+      // from the grid-coordinate corners δ is defined on.
+      val requests = ship(mergedPts, strategy, comm)(global.coverageCandidates(_, delta),
+        t => t.lonLatRect.expand((delta + 1) * math.max(t.grid.cellW, t.grid.cellH)))
+        .map { case (s, pts) => s -> ((pts, excluded(s))) }
+      val replies = link.ask(requests) { case (node, (pts, ex)) => node.localCoverageRound(pts, ex, delta) }
+      val found = requests.flatMap { case (s, _) =>
+        replies(s) match {
+          case Some((id, cells)) => comm.receiveCells(cells.length); Some((s, id, cells))
+          case None              => comm.receiveHits(0); None
         }
       }
-      best match {
-        case Some((src, id, _, cells)) =>
-          picked += ((src, id))
-          excluded(src) = excluded(src) + id
-          covered = CellSet.union(covered,
-            CellSet.of(cells.map { case (x, y) => refGrid.cellOf(x, y) }))
-          mergedPts = (mergedPts ++ cells).distinct
-        case None => exhausted = true
+      if (found.isEmpty) exhausted = true
+      else {
+        // Re-rank by gain under the reference grid for fairness, ties to
+        // the smaller (source, id).
+        val (s, id, cells) = found.maxBy { case (s, id, cells) =>
+          (CellSet.marginalGain(refCells(cells), covered), -s, -id)
+        }
+        picked += ((s, id))
+        excluded(s) += id
+        covered = CellSet.union(covered, refCells(cells))
+        mergedPts = (mergedPts ++ cells).distinct
       }
-      it += 1
     }
     (MultiCoverage(picked.toSeq, covered.length), comm)
+  }
+
+  /** One round's requests: `pts` for every source under Broadcast, else
+    * for the DITS-G candidates `route` finds for the MBR of `pts`, cut to
+    * `clip` of each source under Clipped. A source left with no point gets
+    * no message; every other payload is counted as sent.
+    */
+  private def ship(pts: Array[(Double, Double)], strategy: Distribution, comm: CommStats)
+                  (route: MBR => Seq[SourceSummary], clip: SourceSummary => MBR)
+      : Seq[(Int, Array[(Double, Double)])] = {
+    val targets =
+      if (strategy == Distribution.Broadcast) link.summaries
+      else route(MBR.of(pts.map { case (x, y) => Point(x, y) }))
+    val requests = targets.map { t =>
+      val payload =
+        if (strategy != Distribution.Clipped) pts
+        else { val r = clip(t); pts.filter { case (x, y) => r.contains(Point(x, y)) } }
+      t.sourceId -> payload
+    }.filter(_._2.nonEmpty)
+    requests.foreach { case (_, p) => comm.sendCells(p.length) }
+    requests
   }
 }

@@ -1,6 +1,6 @@
 package repro.multisource
 
-import repro.core.{CellSet, Grid, MBR}
+import repro.core.{CellSet, Grid}
 import repro.core.dits._
 import scala.collection.mutable
 
@@ -30,32 +30,23 @@ final class SourceNode(val sourceId: Int, val grid: Grid,
   }
 
   /** Local CJSP endpoint for one greedy round: the best (max marginal
-    * gain) unpicked dataset directly connected to the shipped merged set.
-    * Returns (dataset id, gain, its cells as lon/lat cell centres).
+    * gain, ties to the smaller id) unexcluded dataset directly connected to
+    * the shipped merged set, which is also the covered snapshot: covered
+    * cells outside this source's region cannot intersect a local dataset.
+    * Returns the dataset id and its cells as lon/lat cell centres.
     */
-  def localCoverageRound(mergedLonLat: Array[(Double, Double)],
-                         coveredLonLat: Array[(Double, Double)],
-                         excluded: Set[Int], delta: Double):
-      Option[(Int, Int, Array[(Double, Double)])] = {
+  def localCoverageRound(mergedLonLat: Array[(Double, Double)], excluded: Set[Int],
+                         delta: Double): Option[(Int, Array[(Double, Double)])] = {
     val merged = toLocalCells(mergedLonLat)
     if (merged.isEmpty) return None
-    val covered = toLocalCells(coveredLonLat)
     val out = mutable.ArrayBuffer.empty[DatasetNode]
     CoverageSearch.findConnected(index.root, CellSet.mbr(merged), merged, delta, out)
-    var tau = -1
-    var best: DatasetNode = null
-    out.sortBy(_.id).foreach { d =>
-      if (!excluded.contains(d.id) && d.cells.length > tau) {
-        val g = CellSet.marginalGain(d.cells, covered)
-        if (g > tau) { tau = g; best = d }
-      }
-    }
-    if (best == null) None
-    else Some((best.id, tau, best.cells.map(c => centreLonLat(best, c))))
+    CoverageSearch.bestGain(out, merged)(d => !excluded(d.id))
+      .map(d => (d.id, d.cells.map(centreLonLat)))
   }
 
   /** Lon/lat centre of one of this source's cells. */
-  private def centreLonLat(d: DatasetNode, c: Long): (Double, Double) = {
+  private def centreLonLat(c: Long): (Double, Double) = {
     val r = grid.cellRect(c); (r.pivot.x, r.pivot.y)
   }
 }

@@ -184,6 +184,40 @@ class CoverageSearchSpec extends AnyFunSuite {
     }
   }
 
+  for (k <- Seq(0, -1)) {
+    test(s"k=$k is rejected by every CJSP engine, even for an empty query") {
+      val ds = randomDatasets(6, 10)
+      val ix = DitsLocal.build(ds, 4)
+      for (q <- Seq(ds.head._2, Array.emptyLongArray)) {
+        intercept[IllegalArgumentException](CoverageSearch.search(ix, q, 3.0, k))
+        intercept[IllegalArgumentException](StandardGreedy.sg(ds, q, 3.0, k))
+        intercept[IllegalArgumentException](StandardGreedy.sgDits(ix, q, 3.0, k))
+      }
+    }
+  }
+
+  /** The shared greedy step is the (gain desc, id asc) argmax over the
+    * admitted candidates in any input order: equal-size candidates, copies
+    * and candidates wholly inside `covered` (gain 0) included.
+    */
+  test("bestGain ≡ brute-force (gain desc, id asc) argmax over admitted candidates (property)") {
+    val cases = for {
+      in <- instances
+      covered <- Gen.oneOf(Gen.const(in.query), Gen.someOf(in.ds.map(_._2)).map(_.foldLeft(in.query)(CellSet.union)))
+      admitted <- Gen.someOf(in.ds.map(_._1))
+      order <- Gen.long
+    } yield (in, covered, admitted.toSet, order)
+    val prop = Prop.forAllNoShrink(cases) { case (in, covered, admitted, order) =>
+      val cands = new Random(order).shuffle(in.ds.map { case (id, cs) => DatasetNode(id, cs) })
+      val got = CoverageSearch.bestGain(cands, covered)(d => admitted(d.id)).map(_.id)
+      val exp = in.ds.filter(d => admitted(d._1)).map { case (id, cs) => (CellSet.marginalGain(cs, covered), -id) }
+        .maxOption.map(-_._2)
+      Prop(got == exp) :| s"got=$got brute=$exp"
+    }
+    val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(1000), prop)
+    assert(res.passed, res.status.toString)
+  }
+
   /** A generated CJSP instance; arrays print as cell coordinates. */
   private final case class Instance(ds: IndexedSeq[(Int, Array[Long])], query: Array[Long],
                                     delta: Double, k: Int, capacity: Int) {
