@@ -36,13 +36,6 @@ final case class MBR(minX: Double, minY: Double, maxX: Double, maxY: Double)
     MBR(math.min(minX, o.minX), math.min(minY, o.minY),
         math.max(maxX, o.maxX), math.max(maxY, o.maxY))
 
-  /** Intersection rectangle, if any. */
-  def intersection(o: MBR): Option[MBR] = {
-    val lx = math.max(minX, o.minX); val ly = math.max(minY, o.minY)
-    val hx = math.min(maxX, o.maxX); val hy = math.min(maxY, o.maxY)
-    if (lx <= hx && ly <= hy) Some(MBR(lx, ly, hx, hy)) else None
-  }
-
   /** Rectangle grown by `d` on every side. */
   def expand(d: Double): MBR = MBR(minX - d, minY - d, maxX + d, maxY + d)
 

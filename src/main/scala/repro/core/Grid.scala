@@ -31,9 +31,6 @@ final case class Grid(theta: Int, space: MBR) extends Serializable {
     Grid.interleave(clamp(((x - space.minX) / cellW).toInt), clamp(((y - space.minY) / cellH).toInt))
   }
 
-  /** Grid coordinates (X, Y) of cell `c` — inverse of [[cellOf]]. */
-  def coordsOf(c: Long): (Int, Int) = Grid.deinterleave(c)
-
   /** Lon/lat MBR covered by cell `c`. */
   def cellRect(c: Long): MBR = {
     val cx = Grid.cellX(c); val cy = Grid.cellY(c)
@@ -46,11 +43,6 @@ final case class Grid(theta: Int, space: MBR) extends Serializable {
     MBR(space.minX + r.minX * cellW, space.minY + r.minY * cellH,
         space.minX + r.maxX * cellW, space.minY + r.maxY * cellH)
 
-  /** Convert a lon/lat rectangle into cell-coordinate space (fractional). */
-  def lonLatToCellSpace(r: MBR): MBR =
-    MBR((r.minX - space.minX) / cellW, (r.minY - space.minY) / cellH,
-        (r.maxX - space.minX) / cellW, (r.maxY - space.minY) / cellH)
-
   /** Cell-based dataset of a point set (Def. 5): distinct sorted cell IDs. */
   def cellSet(points: Iterable[Point]): Array[Long] = {
     val a = new Array[Long](points.size)
@@ -59,6 +51,20 @@ final case class Grid(theta: Int, space: MBR) extends Serializable {
     while (it.hasNext) { val p = it.next(); a(n) = cellOf(p.x, p.y); n += 1 }
     CellSet.sortedDistinct(a, n)
   }
+
+  /** Cell-based dataset of lon/lat points, e.g. of shipped [[centres]]
+    * regridded by a source: distinct sorted cell IDs.
+    */
+  def cellSetOf(lonLat: Array[(Double, Double)]): Array[Long] = {
+    val a = lonLat.map { case (x, y) => cellOf(x, y) }
+    CellSet.sortedDistinct(a, a.length)
+  }
+
+  /** Lon/lat centres of `cells`, the multi-source wire format: the pivot
+    * of each cell's [[cellRect]].
+    */
+  def centres(cells: Array[Long]): Array[(Double, Double)] =
+    cells.map { c => val p = cellRect(c).pivot; (p.x, p.y) }
 }
 
 object Grid {
@@ -67,9 +73,6 @@ object Grid {
     * each coordinate are used.
     */
   def interleave(x: Int, y: Int): Long = spread(x) | (spread(y) << 1)
-
-  /** Inverse of [[interleave]]. */
-  def deinterleave(c: Long): (Int, Int) = (cellX(c), cellY(c))
 
   /** Grid X coordinate of cell `c` (the even bits of its z-order code). */
   def cellX(c: Long): Int = compact(c)

@@ -1,6 +1,6 @@
 package repro.core.dits
 
-import repro.core.{Grid, MBR, Point}
+import repro.core.{Grid, MBR}
 import scala.collection.mutable
 
 /** Root-node summary a data source sends to the data center after building
@@ -9,54 +9,59 @@ import scala.collection.mutable
   */
 final case class SourceSummary(sourceId: Int, lonLatRect: MBR, grid: Grid)
     extends Serializable {
-  def pivot: Point   = lonLatRect.pivot
-  def radius: Double = lonLatRect.radius
+  /** The larger side of one of this source's cells, in lon/lat units. */
+  def cellSide: Double = math.max(grid.cellW, grid.cellH)
+
+  /** Lon/lat distance from `lonLatRect` that covers every point in a
+    * cell δ-connected to one of this source's cells.
+    */
+  def reach(delta: Double): Double = SourceSummary.reach(delta, cellSide)
 }
 
 object SourceSummary {
   /** Summarise a built local index under its grid. */
   def of(sourceId: Int, index: DitsLocal, grid: Grid): SourceSummary =
     SourceSummary(sourceId, grid.cellSpaceToLonLat(index.root.rect), grid)
+
+  /** δ-reach for cells of side `cellSide`. δ cells would suffice: the
+    * root rect spans whole cells, so a point whose cell is within δ of a
+    * local cell lies within δ cells of the rect. The extra cell stays
+    * because perfbench's traced `multisource-clip` replay hardcodes
+    * `(delta + 1)` and checks its `CommStats` against `DataCenter`'s, and
+    * because dropping it changes the Figs. 19–20 bytes; it goes with that
+    * replay (ROADMAP item 1).
+    */
+  private[dits] def reach(delta: Double, cellSide: Double): Double = (delta + 1) * cellSide
 }
 
-/** DITS-G — the data center's global index (Section V-B): the same
-  * median-split tree as DITS-L, but over source summaries in lon/lat
-  * space, and with plain leaves (no inverted index).
+/** DITS-G — the data center's global index (Section V-B): DITS-L's
+  * Algorithm 1 tree over source summaries in lon/lat space, with plain
+  * leaves of at most two summaries (no inverted index).
   */
 final class DitsGlobal private (root: DitsGlobal.GNode) extends Serializable {
+  import DitsGlobal._
 
   /** Candidate sources for an overlap query: sources whose root MBR
     * intersects the query's lon/lat MBR (Section VI-A strategy 1).
     */
-  def overlapCandidates(queryRect: MBR): Seq[SourceSummary] = {
-    val out = mutable.ArrayBuffer.empty[SourceSummary]
-    def go(n: DitsGlobal.GNode): Unit =
-      if (n.rect.intersects(queryRect)) n match {
-        case DitsGlobal.GLeaf(_, ss)      => out ++= ss.filter(_.lonLatRect.intersects(queryRect))
-        case DitsGlobal.GInternal(_, l, r) => go(l); go(r)
-      }
-    go(root)
-    out.toSeq
-  }
+  def overlapCandidates(queryRect: MBR): Seq[SourceSummary] =
+    route((rect, _) => rect.intersects(queryRect))
 
-  /** Candidate sources for a coverage query: sources possibly within the
-    * connectivity threshold of the query. δ is in cell units of each
-    * source's grid, so the lon/lat slack is δ·max(cellW, cellH) of that
-    * source (plus the query's own slack `queryDeltaLonLat`).
+  /** Candidate sources for a coverage query: sources whose root MBR lies
+    * within their δ-reach of the query's lon/lat MBR (δ is in cell units
+    * of each source's grid).
     */
-  def coverageCandidates(queryRect: MBR, delta: Double): Seq[SourceSummary] = {
+  def coverageCandidates(queryRect: MBR, delta: Double): Seq[SourceSummary] =
+    route((rect, cellSide) => rect.minDist(queryRect) <= SourceSummary.reach(delta, cellSide))
+
+  /** Summaries whose rect and cell side pass `near`, descending only into
+    * nodes whose rect passes it with the largest cell side below them.
+    */
+  private def route(near: (MBR, Double) => Boolean): Seq[SourceSummary] = {
     val out = mutable.ArrayBuffer.empty[SourceSummary]
-    // +1 cell of margin: the wire format ships cell *centres*, which sit up
-    // to half a cell away from the grid-coordinate corners δ is defined on.
-    def slack(s: SourceSummary): Double = (delta + 1) * math.max(s.grid.cellW, s.grid.cellH)
-    def go(n: DitsGlobal.GNode): Unit = {
-      // Node-level prune with the loosest slack below this node.
-      val maxSlack = n.maxSlack(delta)
-      if (n.rect.minDist(queryRect) <= maxSlack) n match {
-        case DitsGlobal.GLeaf(_, ss) =>
-          out ++= ss.filter(s => s.lonLatRect.minDist(queryRect) <= slack(s))
-        case DitsGlobal.GInternal(_, l, r) => go(l); go(r)
-      }
+    def go(n: GNode): Unit = if (near(n.rect, n.cellSide)) n match {
+      case l: GLeaf     => l.ss.foreach(s => if (near(s.lonLatRect, s.cellSide)) out += s)
+      case i: GInternal => go(i.left); go(i.right)
     }
     go(root)
     out.toSeq
@@ -64,33 +69,22 @@ final class DitsGlobal private (root: DitsGlobal.GNode) extends Serializable {
 }
 
 object DitsGlobal {
-  sealed trait GNode extends Serializable {
-    def rect: MBR
-    def summaries: Seq[SourceSummary] = this match {
-      case GLeaf(_, ss)      => ss
-      case GInternal(_, l, r) => l.summaries ++ r.summaries
-    }
-    def maxSlack(delta: Double): Double =
-      summaries.map(s => (delta + 1) * math.max(s.grid.cellW, s.grid.cellH)).max
-  }
-  final case class GLeaf(rect: MBR, ss: Seq[SourceSummary]) extends GNode
-  final case class GInternal(rect: MBR, left: GNode, right: GNode) extends GNode
+  /** Leaf capacity of DITS-G. */
+  private val Capacity = 2
 
-  /** Build the global index with leaf capacity f (top-down median split,
-    * mirroring Algorithm 1).
+  /** A DITS-G node: its lon/lat rect and the largest cell side of the
+    * sources below it.
     */
-  def build(summaries: Seq[SourceSummary], capacity: Int = 2): DitsGlobal = {
+  private sealed abstract class GNode(val rect: MBR, val cellSide: Double) extends Serializable
+  private final class GLeaf(rect: MBR, val ss: Array[SourceSummary])
+      extends GNode(rect, ss.map(_.cellSide).max)
+  private final class GInternal(rect: MBR, val left: GNode, val right: GNode)
+      extends GNode(rect, math.max(left.cellSide, right.cellSide))
+
+  /** Build the global index with DITS-L's median split (Algorithm 1). */
+  def build(summaries: Seq[SourceSummary]): DitsGlobal = {
     require(summaries.nonEmpty, "no data sources registered")
-    def go(ss: Seq[SourceSummary]): GNode = {
-      val rect = ss.map(_.lonLatRect).reduce(_ union _)
-      if (ss.length <= capacity) GLeaf(rect, ss)
-      else {
-        val d = if (rect.width(0) >= rect.width(1)) 0 else 1
-        val sorted = ss.sortBy(s => if (d == 0) s.pivot.x else s.pivot.y)
-        val mid = sorted.length / 2
-        GInternal(rect, go(sorted.take(mid)), go(sorted.drop(mid)))
-      }
-    }
-    new DitsGlobal(go(summaries))
+    new DitsGlobal(DitsLocal.medianSplit[SourceSummary, GNode](summaries.toArray, _.lonLatRect, Capacity)(
+      new GLeaf(_, _), new GInternal(_, _, _)))
   }
 }

@@ -128,25 +128,37 @@ object DitsLocal {
   def build(datasets: Iterable[(Int, Array[Long])], capacity: Int): DitsLocal =
     build(datasets.map { case (id, cells) => DatasetNode(id, cells) }.toArray, capacity)
 
-  private[dits] def buildNode(nodes: Array[DatasetNode], capacity: Int): TreeNode = {
-    val rect = nodes.map(_.rect).reduce(_ union _)
-    if (nodes.length <= capacity) {
-      val leaf = new Leaf(rect, capacity)
-      leaf.addAll(nodes)
-      leaf
-    } else {
-      // Widest dimension of the enclosing MBR (Alg. 1 lines 11–14).
-      val d = if (rect.width(0) >= rect.width(1)) 0 else 1
-      val keyed = nodes.sortBy(n => if (d == 0) n.pivot.x else n.pivot.y)
-      // Median split on pivot coordinate (Alg. 1 lines 15–19); index-based
-      // halving also handles duplicate pivots, guaranteeing progress.
-      val mid = keyed.length / 2
-      val left  = buildNode(keyed.take(mid), capacity)
-      val right = buildNode(keyed.drop(mid), capacity)
-      val in = new Internal(rect, left, right)
-      left.parent = in; right.parent = in
-      in
+  private[dits] def buildNode(nodes: Array[DatasetNode], capacity: Int): TreeNode =
+    medianSplit[DatasetNode, TreeNode](nodes, _.rect, capacity)(
+      (rect, ds) => { val leaf = new Leaf(rect, capacity); leaf.addAll(ds); leaf },
+      (rect, left, right) => {
+        val in = new Internal(rect, left, right)
+        left.parent = in; right.parent = in
+        in
+      })
+
+  /** Algorithm 1's top-down median split, shared by DITS-L and DITS-G:
+    * `items` go into one `leaf` when at most `capacity` remain, else they
+    * are halved on the widest axis of their enclosing rect and both
+    * halves are split again under an `internal` node.
+    */
+  private[dits] def medianSplit[A, N](items: Array[A], rectOf: A => MBR, capacity: Int)(
+      leaf: (MBR, Array[A]) => N, internal: (MBR, N, N) => N): N = {
+    def go(xs: Array[A]): N = {
+      val rect = xs.map(rectOf).reduce(_ union _)
+      if (xs.length <= capacity) leaf(rect, xs)
+      else {
+        // Widest dimension of the enclosing MBR (Alg. 1 lines 11–14).
+        val d = if (rect.width(0) >= rect.width(1)) 0 else 1
+        val keyed = xs.sortBy { x => val p = rectOf(x).pivot; if (d == 0) p.x else p.y }
+        // Median split on pivot coordinate (Alg. 1 lines 15–19); index-based
+        // halving also handles duplicate pivots, guaranteeing progress.
+        val mid = keyed.length / 2
+        val left = go(keyed.take(mid))
+        internal(rect, left, go(keyed.drop(mid)))
+      }
     }
+    go(items)
   }
 
   /** Collect all leaves under `n` (test/diagnostic helper). */

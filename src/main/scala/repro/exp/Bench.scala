@@ -1,7 +1,7 @@
 package repro.exp
 
 /** Tiny measurement harness: wall-clock timing with warmup, and an
-  * aligned-table printer shared by the spark-submit jobs and the bench
+  * aligned-table renderer shared by the spark-submit jobs and the bench
   * suites, so every table/figure regenerates in the same format recorded
   * in EXPERIMENTS.md.
   */
@@ -31,9 +31,6 @@ object Bench {
       r.zip(widths).map { case (c, w) => c.padTo(w, ' ') }.mkString("  ")
     (s"== $title ==" +: line(header) +: rows.map(line)).mkString("\n")
   }
-
-  def printTable(title: String, header: Seq[String], rows: Seq[Seq[String]]): Unit =
-    println(table(title, header, rows))
 
   def fmt(d: Double): String = f"$d%.2f"
 }

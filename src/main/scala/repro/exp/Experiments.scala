@@ -160,36 +160,10 @@ object Experiments {
   // ------------------------------------------------------------------ //
   // Figs. 13–14 — OJSP communication vs q                               //
   // ------------------------------------------------------------------ //
-  def overlapComm(scale: Double = 0.1): ExpTable = {
-    val sources = Workloads.cellSources(ParamGrid.thetaDefault, scale)
-    val nodes = sources.map(s =>
-      new SourceNode(s.spec.sourceId, s.grid, s.datasets, ParamGrid.fDefault))
-    val center = new DataCenter(nodes)
-    val grid = sources.head.grid
-    val strategies = Seq("Baselines(bcast)" -> Distribution.Broadcast,
-                         "DITS-G(cand)" -> Distribution.Candidates,
-                         "OverlapSearch(clip)" -> Distribution.Clipped)
-    val rows = ParamGrid.q.map { q =>
-      val queries = Workloads.sampleQueries(sources, q)
-        .map(_.map { c => val r = grid.cellRect(c); (r.pivot.x, r.pivot.y) })
-      val cells = strategies.map { case (_, st) =>
-        val comm = new CommStats
-        queries.foreach { qq =>
-          val (_, c) = center.overlapSearch(qq, ParamGrid.kDefault, st); comm += c
-        }
-        comm
-      }
-      (q, cells)
-    }
-    ExpTable("Figs. 13–14 — OJSP communication vs q",
-      "q" +: strategies.flatMap { case (n, _) => Seq(s"$n KB", s"$n ms") },
-      rows.map { case (q, cs) =>
-        q.toString +: cs.flatMap(c =>
-          Seq(Bench.fmt(c.total / 1024.0), Bench.fmt(c.transferMillis()))) },
-      rows.flatMap { case (q, cs) =>
-        strategies.map(_._1).zip(cs).map { case (n, c) => s"$n@$q" -> c.total.toDouble }
-      }.toMap)
-  }
+  def overlapComm(scale: Double = 0.1): ExpTable =
+    commTable("Figs. 13–14 — OJSP communication vs q", scale,
+      Seq("Baselines(bcast)", "DITS-G(cand)", "OverlapSearch(clip)"))(
+      (center, q, st) => center.overlapSearch(q, ParamGrid.kDefault, st)._2)
 
   // ------------------------------------------------------------------ //
   // Figs. 15–18 — CJSP search time vs k, θ, q, δ (3 algorithms)         //
@@ -252,35 +226,36 @@ object Experiments {
   // ------------------------------------------------------------------ //
   // Figs. 19–20 — CJSP communication vs q                               //
   // ------------------------------------------------------------------ //
-  def coverageComm(scale: Double = 0.1): ExpTable = {
+  def coverageComm(scale: Double = 0.1): ExpTable =
+    commTable("Figs. 19–20 — CJSP communication vs q", scale,
+      Seq("SG(bcast)", "SG+DITS(cand)", "CoverageSearch(clip)"))(
+      (center, q, st) => center.coverageSearch(q, ParamGrid.deltaDefault, ParamGrid.kDefault, st)._2)
+
+  /** Bytes (KB) and transfer time per q of `search` on a [[DataCenter]]
+    * over the sources: one column pair per strategy, Broadcast,
+    * Candidates and Clipped, named by `labels`.
+    */
+  private def commTable(title: String, scale: Double, labels: Seq[String])(
+      search: (DataCenter, Array[(Double, Double)], Distribution) => CommStats): ExpTable = {
     val sources = Workloads.cellSources(ParamGrid.thetaDefault, scale)
-    val nodes = sources.map(s =>
-      new SourceNode(s.spec.sourceId, s.grid, s.datasets, ParamGrid.fDefault))
-    val center = new DataCenter(nodes)
+    val center = new DataCenter(sources.map(s =>
+      new SourceNode(s.spec.sourceId, s.grid, s.datasets, ParamGrid.fDefault)))
     val grid = sources.head.grid
-    val strategies = Seq("SG(bcast)" -> Distribution.Broadcast,
-                         "SG+DITS(cand)" -> Distribution.Candidates,
-                         "CoverageSearch(clip)" -> Distribution.Clipped)
     val rows = ParamGrid.q.map { q =>
-      val queries = Workloads.sampleQueries(sources, q)
-        .map(_.map { c => val r = grid.cellRect(c); (r.pivot.x, r.pivot.y) })
-      val cells = strategies.map { case (_, st) =>
+      val queries = Workloads.sampleQueries(sources, q).map(grid.centres)
+      q -> Seq(Distribution.Broadcast, Distribution.Candidates, Distribution.Clipped).map { st =>
         val comm = new CommStats
-        queries.foreach { qq =>
-          val (_, c) = center.coverageSearch(qq, ParamGrid.deltaDefault, ParamGrid.kDefault, st)
-          comm += c
-        }
+        queries.foreach(qq => comm += search(center, qq, st))
         comm
       }
-      (q, cells)
     }
-    ExpTable("Figs. 19–20 — CJSP communication vs q",
-      "q" +: strategies.flatMap { case (n, _) => Seq(s"$n KB", s"$n ms") },
+    ExpTable(title,
+      "q" +: labels.flatMap(n => Seq(s"$n KB", s"$n ms")),
       rows.map { case (q, cs) =>
         q.toString +: cs.flatMap(c =>
           Seq(Bench.fmt(c.total / 1024.0), Bench.fmt(c.transferMillis()))) },
       rows.flatMap { case (q, cs) =>
-        strategies.map(_._1).zip(cs).map { case (n, c) => s"$n@$q" -> c.total.toDouble }
+        labels.zip(cs).map { case (n, c) => s"$n@$q" -> c.total.toDouble }
       }.toMap)
   }
 
@@ -300,48 +275,30 @@ object Experiments {
       // Updated version: same id, shifted cell content.
       (id, repro.core.CellSet.of(cells.map(_ + 1)))
     }
+    val byId = existing.toMap
+    // Per index: a fresh build, and its insert and update of one dataset.
+    type Ops = ((Int, Array[Long]) => Unit, (Int, Array[Long]) => Unit)
+    val indexes: Seq[(String, () => Ops)] = Seq(
+      "DITS-L" -> { () => val ix = DitsLocal.build(pool, f)
+        ((id, cs) => ix.insert(DatasetNode(id, cs)), (id, cs) => ix.update(DatasetNode(id, cs))) },
+      "QuadTree" -> { () => val ix = QuadTreeIndex.build(pool, side)
+        (ix.insertDataset, (id, cs) => ix.updateDataset(id, byId(id), cs)) },
+      "Rtree" -> { () => val ix = RTreeIndex.build(pool, f); (ix.insert, ix.update) },
+      "STS3" -> { () => val ix = Sts3Index.build(pool)
+        (ix.insert, (id, cs) => ix.update(id, byId(id), cs)) },
+      "Josie" -> { () => val ix = JosieIndex.build(pool)
+        (ix.insert, (id, cs) => ix.update(id, byId(id), cs)) },
+    )
     val rows = betas.flatMap { b =>
       val ins = fresh.take(b); val upd = variant.take(b)
-      def row(name: String, insertMs: Double, updateMs: Double) =
+      indexes.map { case (name, build) =>
+        val insert = build()._1
+        val insertMs = Bench.timeMs(ins.foreach { case (id, cs) => insert(id, cs) })
+        val update = build()._2
+        val updateMs = Bench.timeMs(upd.foreach { case (id, cs) => update(id, cs) })
         (Seq(b.toString, name, Bench.fmt(insertMs), Bench.fmt(updateMs)),
          Map(s"$name-insert@$b" -> insertMs, s"$name-update@$b" -> updateMs))
-      val byId = existing.toMap
-      val dits = {
-        val ix1 = DitsLocal.build(pool, f)
-        val t1 = Bench.timeMs(ins.foreach { case (id, cs) => ix1.insert(DatasetNode(id, cs)) })
-        val ix2 = DitsLocal.build(pool, f)
-        val t2 = Bench.timeMs(upd.foreach { case (id, cs) => ix2.update(DatasetNode(id, cs)) })
-        row("DITS-L", t1, t2)
       }
-      val quad = {
-        val ix1 = QuadTreeIndex.build(pool, side)
-        val t1 = Bench.timeMs(ins.foreach { case (id, cs) => ix1.insertDataset(id, cs) })
-        val ix2 = QuadTreeIndex.build(pool, side)
-        val t2 = Bench.timeMs(upd.foreach { case (id, cs) => ix2.updateDataset(id, byId(id), cs) })
-        row("QuadTree", t1, t2)
-      }
-      val rtree = {
-        val ix1 = RTreeIndex.build(pool, f)
-        val t1 = Bench.timeMs(ins.foreach { case (id, cs) => ix1.insert(id, cs) })
-        val ix2 = RTreeIndex.build(pool, f)
-        val t2 = Bench.timeMs(upd.foreach { case (id, cs) => ix2.update(id, cs) })
-        row("Rtree", t1, t2)
-      }
-      val sts3 = {
-        val ix1 = Sts3Index.build(pool)
-        val t1 = Bench.timeMs(ins.foreach { case (id, cs) => ix1.insert(id, cs) })
-        val ix2 = Sts3Index.build(pool)
-        val t2 = Bench.timeMs(upd.foreach { case (id, cs) => ix2.update(id, byId(id), cs) })
-        row("STS3", t1, t2)
-      }
-      val josie = {
-        val ix1 = JosieIndex.build(pool)
-        val t1 = Bench.timeMs(ins.foreach { case (id, cs) => ix1.insert(id, cs) })
-        val ix2 = JosieIndex.build(pool)
-        val t2 = Bench.timeMs(upd.foreach { case (id, cs) => ix2.update(id, byId(id), cs) })
-        row("Josie", t1, t2)
-      }
-      Seq(dits, quad, rtree, sts3, josie)
     }
     ExpTable("Figs. 21–22 — index update time vs β",
       Seq("beta", "index", "insert_ms", "update_ms"),

@@ -95,23 +95,21 @@ final class DataCenter(link: SourceLink) {
     // Covered set tracked under a reference grid (finest of the sources)
     // so coverage counting is well-defined across sources.
     val refGrid = link.summaries.map(_.grid).maxBy(_.theta)
-    def refCells(pts: Array[(Double, Double)]) = CellSet.of(pts.map { case (x, y) => refGrid.cellOf(x, y) })
-    var covered = refCells(queryLonLat)
+    var covered = refGrid.cellSetOf(queryLonLat)
     var mergedPts = queryLonLat.distinct
     val picked = mutable.ArrayBuffer.empty[(Int, Int)]
     val excluded = mutable.HashMap.empty[Int, Set[Int]].withDefaultValue(Set.empty)
 
     var exhausted = false
     while (picked.length < k && !exhausted) {
-      // +1 cell margin: shipped cell centres are up to half a cell away
-      // from the grid-coordinate corners δ is defined on.
       val requests = ship(mergedPts, strategy, comm)(global.coverageCandidates(_, delta),
-        t => t.lonLatRect.expand((delta + 1) * math.max(t.grid.cellW, t.grid.cellH)))
+        t => t.lonLatRect.expand(t.reach(delta)))
         .map { case (s, pts) => s -> ((pts, excluded(s))) }
       val replies = link.ask(requests) { case (node, (pts, ex)) => node.localCoverageRound(pts, ex, delta) }
       val found = requests.flatMap { case (s, _) =>
         replies(s) match {
-          case Some((id, cells)) => comm.receiveCells(cells.length); Some((s, id, cells))
+          case Some((id, cells)) =>
+            comm.receiveCells(cells.length); Some((s, id, cells, refGrid.cellSetOf(cells)))
           case None              => comm.receiveHits(0); None
         }
       }
@@ -119,12 +117,12 @@ final class DataCenter(link: SourceLink) {
       else {
         // Re-rank by gain under the reference grid for fairness, ties to
         // the smaller (source, id).
-        val (s, id, cells) = found.maxBy { case (s, id, cells) =>
-          (CellSet.marginalGain(refCells(cells), covered), -s, -id)
+        val (s, id, cells, ref) = found.maxBy { case (s, id, _, ref) =>
+          (CellSet.marginalGain(ref, covered), -s, -id)
         }
         picked += ((s, id))
         excluded(s) += id
-        covered = CellSet.union(covered, refCells(cells))
+        covered = CellSet.union(covered, ref)
         mergedPts = (mergedPts ++ cells).distinct
       }
     }

@@ -20,8 +20,7 @@ final class SourceNode(val sourceId: Int, val grid: Grid,
   def summary: SourceSummary = SourceSummary.of(sourceId, index, grid)
 
   /** Convert lon/lat query points into this source's cell space. */
-  def toLocalCells(lonLat: Array[(Double, Double)]): Array[Long] =
-    CellSet.of(lonLat.map { case (x, y) => grid.cellOf(x, y) })
+  def toLocalCells(lonLat: Array[(Double, Double)]): Array[Long] = grid.cellSetOf(lonLat)
 
   /** Local OJSP endpoint: top-k overlaps for the shipped query portion. */
   def localOverlap(queryLonLat: Array[(Double, Double)], k: Int): Seq[OverlapHit] = {
@@ -42,11 +41,6 @@ final class SourceNode(val sourceId: Int, val grid: Grid,
     val out = mutable.ArrayBuffer.empty[DatasetNode]
     CoverageSearch.findConnected(index.root, CellSet.mbr(merged), merged, delta, out)
     CoverageSearch.bestGain(out, merged)(d => !excluded(d.id))
-      .map(d => (d.id, d.cells.map(centreLonLat)))
-  }
-
-  /** Lon/lat centre of one of this source's cells. */
-  private def centreLonLat(c: Long): (Double, Double) = {
-    val r = grid.cellRect(c); (r.pivot.x, r.pivot.y)
+      .map(d => (d.id, grid.centres(d.cells)))
   }
 }

@@ -33,15 +33,11 @@ final class DistributedDits private (val nodes: RDD[(Int, SourceNode)], val grid
       }
   })
 
-  /** Cell ids of `grid` as lon/lat cell centres, the center's wire format. */
-  private def lonLat(cells: Array[Long]): Array[(Double, Double)] =
-    cells.map { c => val p = grid.cellRect(c).pivot; (p.x, p.y) }
-
   /** Distributed OJSP under the Clipped strategy: `(sourceId, datasetId,
     * overlap)` and the bytes shipped.
     */
   def overlapTopK(queryCells: Array[Long], k: Int): (Seq[(Int, Int, Int)], CommStats) = {
-    val (hits, comm) = center.overlapSearch(lonLat(queryCells), k, Distribution.Clipped)
+    val (hits, comm) = center.overlapSearch(grid.centres(queryCells), k, Distribution.Clipped)
     (hits.map(h => (h.sourceId, h.datasetId, h.overlap)), comm)
   }
 
@@ -49,7 +45,7 @@ final class DistributedDits private (val nodes: RDD[(Int, SourceNode)], val grid
     * picks and the coverage.
     */
   def coverageSearch(queryCells: Array[Long], delta: Double, k: Int): (Seq[(Int, Int)], Int) = {
-    val (cov, _) = center.coverageSearch(lonLat(queryCells), delta, k, Distribution.Clipped)
+    val (cov, _) = center.coverageSearch(grid.centres(queryCells), delta, k, Distribution.Clipped)
     (cov.picked, cov.coverage)
   }
 }

@@ -1,10 +1,10 @@
 package repro.sparkops
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-/** Joinable search expressed as pure Catalyst dataflow — the
-  * "spatial join operator" view of OJSP/CJSP. This is the
+/** Overlap joinable search expressed as pure Catalyst dataflow — the
+  * "spatial join operator" view of OJSP. This is the
   * oracle-checkable reference path; `DistributedDits` is the accelerated
   * path.
   */
@@ -28,26 +28,4 @@ object SparkJoinable {
     overlaps(cells, queryCells)
       .orderBy(desc("overlap"), asc("source_id"), asc("dataset_id"))
       .limit(k)
-
-  /** Coverage `|S_Q ∪ ⋃ S_D|` of a chosen set of datasets — the CJSP
-    * objective as a dataflow (union + distinct count).
-    *
-    * @param chosen `(source_id, dataset_id)` pairs
-    */
-  def coverage(cells: DataFrame, queryCells: DataFrame, chosen: DataFrame): DataFrame =
-    cells.join(chosen, Seq("source_id", "dataset_id"))
-      .select(col("cell"))
-      .union(queryCells.select(col("cell")))
-      .agg(countDistinct(col("cell")).as("coverage"))
-
-  /** One greedy CJSP round as dataflow: marginal gain of every candidate
-    * dataset given the covered cell set, i.e. the count of its cells not
-    * in `covered`. Connectivity filtering happens outside (driver side).
-    *
-    * @return `(source_id, dataset_id, gain)`
-    */
-  def marginalGains(cells: DataFrame, covered: DataFrame): DataFrame =
-    cells.join(covered, Seq("cell"), "left_anti")
-      .groupBy(col("source_id"), col("dataset_id"))
-      .agg(count(col("cell")).as("gain"))
 }

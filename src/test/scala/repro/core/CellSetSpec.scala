@@ -33,8 +33,7 @@ class CellSetSpec extends AnyFunSuite {
       val b = randomCells(rnd, 1 + rnd.nextInt(25), 64)
       val brute = (for {
         ca <- a; cb <- b
-        (ax, ay) = Grid.deinterleave(ca); (bx, by) = Grid.deinterleave(cb)
-      } yield math.sqrt(math.pow(ax - bx, 2) + math.pow(ay - by, 2))).min
+      } yield math.hypot(Grid.cellX(ca) - Grid.cellX(cb), Grid.cellY(ca) - Grid.cellY(cb))).min
       assert(math.abs(CellSet.minDist(a, b) - brute) < 1e-9)
     }
   }
@@ -171,7 +170,7 @@ class CellSetSpec extends AnyFunSuite {
     check(Prop.forAll(cellPairs, deltas) { case ((a, b), delta) =>
       val exp = CellSet.connected(a, b, delta)
       Prop(new CellSet.NeighborIndex(a, delta).connectedTo(b) == exp) :|
-        s"a=${a.map(Grid.deinterleave).toSeq} b=${b.map(Grid.deinterleave).toSeq} δ=$delta expected $exp"
+        s"a=${a.map(c => (Grid.cellX(c), Grid.cellY(c))).toSeq} b=${b.map(c => (Grid.cellX(c), Grid.cellY(c))).toSeq} δ=$delta expected $exp"
     })
   }
 

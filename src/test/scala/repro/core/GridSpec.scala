@@ -18,7 +18,7 @@ class GridSpec extends AnyFunSuite {
 
   test("interleave/deinterleave roundtrip (property)") {
     check(Prop.forAll(coord, coord) {
-      (x: Int, y: Int) => Grid.deinterleave(Grid.interleave(x, y)) == ((x, y))
+      (x: Int, y: Int) => { val c = Grid.interleave(x, y); Grid.cellX(c) == x && Grid.cellY(c) == y }
     })
   }
 
@@ -34,7 +34,7 @@ class GridSpec extends AnyFunSuite {
     val code = Gen.oneOf(Gen.choose(0L, (1L << 56) - 1), Gen.long)
     check(Prop.forAll(code) { (c: Long) =>
       val ref = GridSpec.refDeinterleave(c)
-      Grid.deinterleave(c) == ref && Grid.cellX(c) == ref._1 && Grid.cellY(c) == ref._2
+      Grid.cellX(c) == ref._1 && Grid.cellY(c) == ref._2
     })
   }
 
@@ -91,16 +91,18 @@ class GridSpec extends AnyFunSuite {
     }
   }
 
+  private def coords(c: Long): (Int, Int) = (Grid.cellX(c), Grid.cellY(c))
+
   test("points on the max edge are clamped into the last cell") {
     val g = Grid.world(4)
-    assert(g.coordsOf(g.cellOf(180.0, 90.0)) == ((15, 15)))
-    assert(g.coordsOf(g.cellOf(-180.0, -90.0)) == ((0, 0)))
+    assert(coords(g.cellOf(180.0, 90.0)) == ((15, 15)))
+    assert(coords(g.cellOf(-180.0, -90.0)) == ((0, 0)))
   }
 
   test("infinite coordinates are clamped into the edge cells") {
     val g = Grid.world(4)
-    assert(g.coordsOf(g.cellOf(Double.PositiveInfinity, Double.NegativeInfinity)) == ((15, 0)))
-    assert(g.coordsOf(g.cellOf(Double.NegativeInfinity, Double.PositiveInfinity)) == ((0, 15)))
+    assert(coords(g.cellOf(Double.PositiveInfinity, Double.NegativeInfinity)) == ((15, 0)))
+    assert(coords(g.cellOf(Double.NegativeInfinity, Double.PositiveInfinity)) == ((0, 15)))
   }
 
   test("a NaN coordinate is rejected, not mapped to cell 0") {
@@ -148,11 +150,13 @@ class GridSpec extends AnyFunSuite {
     assert(cs.length == 3) // the two nearby points share a cell at θ=6
   }
 
-  test("cellSpaceToLonLat inverts lonLatToCellSpace") {
+  test("cellSpaceToLonLat maps a cell set's MBR onto the union of its cellRects") {
     val g = Grid.world(8)
-    val r = MBR(-10.5, 4.25, 33.0, 47.5)
-    val back = g.cellSpaceToLonLat(g.lonLatToCellSpace(r))
-    assert(math.abs(back.minX - r.minX) < 1e-9 && math.abs(back.maxY - r.maxY) < 1e-9)
+    val cs = CellSet.of(Array(g.cellOf(-10.5, 4.25), g.cellOf(33.0, 47.5), g.cellOf(0.0, 0.0)))
+    val exp = cs.map(g.cellRect).reduce(_ union _)
+    val got = g.cellSpaceToLonLat(CellSet.mbr(cs))
+    val diffs = Seq(got.minX - exp.minX, got.minY - exp.minY, got.maxX - exp.maxX, got.maxY - exp.maxY)
+    assert(diffs.forall(d => math.abs(d) < 1e-9), s"$got vs $exp")
   }
 
   test("grid cell dimensions partition the space exactly") {

@@ -221,7 +221,7 @@ class CoverageSearchSpec extends AnyFunSuite {
   /** A generated CJSP instance; arrays print as cell coordinates. */
   private final case class Instance(ds: IndexedSeq[(Int, Array[Long])], query: Array[Long],
                                     delta: Double, k: Int, capacity: Int) {
-    private def show(cs: Array[Long]) = cs.map(Grid.deinterleave).mkString("{", " ", "}")
+    private def show(cs: Array[Long]) = cs.map(c => (Grid.cellX(c), Grid.cellY(c))).mkString("{", " ", "}")
     override def toString: String =
       s"δ=$delta k=$k f=$capacity query=${show(query)} " +
         ds.map { case (id, cs) => s"$id:${show(cs)}" }.mkString(" ")

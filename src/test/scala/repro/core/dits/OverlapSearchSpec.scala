@@ -219,7 +219,7 @@ object OverlapSearchSpec {
   /** A generated OJSP instance; arrays print as cell coordinates. */
   final case class Scenario(ds: IndexedSeq[(Int, Array[Long])], writes: List[Write],
                             query: Array[Long], kOf: Int, capacity: Int, span: Int) {
-    private def show(cs: Array[Long]) = cs.map(Grid.deinterleave).mkString("{", " ", "}")
+    private def show(cs: Array[Long]) = cs.map(c => (Grid.cellX(c), Grid.cellY(c))).mkString("{", " ", "}")
     override def toString: String =
       s"span=$span f=$capacity k-choice=$kOf query=${show(query)} " +
         ds.map { case (id, cs) => s"$id:${show(cs)}" }.mkString(" ") + " writes=" +

@@ -2,7 +2,7 @@ package repro.multisource
 
 import org.scalacheck.{Gen, Prop, Test => PropTest}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{CellSet, Grid, SynthSpatial}
+import repro.core.{CellSet, Grid, MBR, SynthSpatial}
 import repro.core.baselines.{BruteForce, StandardGreedy}
 import repro.core.dits.{DitsGlobal, SourceSummary}
 import scala.util.Random
@@ -169,7 +169,7 @@ class MultiSourceSpec extends AnyFunSuite {
                                  query: Array[Long], delta: Double, k: Int) {
     def pooled: IndexedSeq[(Int, Array[Long])] =
       for ((s, ds) <- sources; (d, cs) <- ds) yield (s * 1000000 + d, cs)
-    private def show(cs: Array[Long]) = cs.map(Grid.deinterleave).mkString("{", " ", "}")
+    private def show(cs: Array[Long]) = cs.map(c => (Grid.cellX(c), Grid.cellY(c))).mkString("{", " ", "}")
     override def toString: String =
       s"θ=$theta δ=$delta k=$k query=${show(query)} " + sources.map { case (s, ds) =>
         s"source $s: " + ds.map { case (d, cs) => s"$d:${show(cs)}" }.mkString(" ")
@@ -253,7 +253,7 @@ class MultiSourceSpec extends AnyFunSuite {
     */
   private final case class Mixed(sources: IndexedSeq[(Int, Int, IndexedSeq[(Int, Array[Long])])],
                                  query: Array[(Double, Double)], k: Int) {
-    private def show(cs: Array[Long]) = cs.map(Grid.deinterleave).mkString("{", " ", "}")
+    private def show(cs: Array[Long]) = cs.map(c => (Grid.cellX(c), Grid.cellY(c))).mkString("{", " ", "}")
     override def toString: String =
       s"k=$k query=${query.mkString(" ")} " + sources.map { case (s, t, ds) =>
         s"source $s (θ=$t): " + ds.map { case (d, cs) => s"$d:${show(cs)}" }.mkString(" ")
@@ -297,6 +297,68 @@ class MultiSourceSpec extends AnyFunSuite {
       }.reduce(_ && _)
     }
     val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  /** 1–40 summaries (so capacity-2 DITS-G trees are several levels deep),
+    * each a whole-cell rect on its own grid, θ ∈ {3..12}.
+    */
+  private val summaries: Gen[IndexedSeq[SourceSummary]] = for {
+    n <- Gen.choose(1, 40)
+    ss <- Gen.listOfN(n, for {
+      theta <- Gen.choose(3, 12)
+      g = Grid.world(theta)
+      x0 <- Gen.choose(0, g.side - 1); y0 <- Gen.choose(0, g.side - 1)
+      w <- Gen.choose(1, math.max(1, g.side / 4)); h <- Gen.choose(1, math.max(1, g.side / 4))
+    } yield (g, MBR(x0, y0, math.min(g.side, x0 + w), math.min(g.side, y0 + h))))
+  } yield ss.toIndexedSeq.zipWithIndex.map { case ((g, r), i) => SourceSummary(i, g.cellSpaceToLonLat(r), g) }
+
+  private val routingDeltas = Seq(0.0, 0.5, 1.5, 5.0, 1e9)
+
+  /** A query rect beside, above or diagonal to one summary: touching it,
+    * at its δ-reach, a hair inside or outside that reach, or anywhere.
+    */
+  private def nearQuery(ss: IndexedSeq[SourceSummary]): Gen[MBR] = for {
+    s <- Gen.oneOf(ss)
+    delta <- Gen.oneOf(routingDeltas)
+    reach = s.reach(delta)
+    gap <- Gen.oneOf(Gen.const(0.0), Gen.const(reach), Gen.const(reach * (1 - 1e-12)),
+                     Gen.const(reach * (1 + 1e-12)), Gen.choose(0.0, 400.0))
+    dir <- Gen.choose(0, 2)
+    w <- Gen.oneOf(Gen.const(0.0), Gen.choose(0.0, 30.0))
+    h <- Gen.oneOf(Gen.const(0.0), Gen.choose(0.0, 30.0))
+  } yield {
+    val r = s.lonLatRect
+    val (x, y) = dir match {
+      case 0 => (r.maxX + gap, r.minY)
+      case 1 => (r.minX, r.maxY + gap)
+      case _ => (r.maxX + gap / math.sqrt(2), r.maxY + gap / math.sqrt(2))
+    }
+    MBR(x, y, x + w, y + h)
+  }
+
+  test("DITS-G routing ≡ flat intersects and δ-reach filters over every summary (property)") {
+    val anywhere = for {
+      x <- Gen.choose(-200.0, 200.0); y <- Gen.choose(-100.0, 100.0)
+      w <- Gen.choose(0.0, 60.0); h <- Gen.choose(0.0, 60.0)
+    } yield MBR(x, y, x + w, y + h)
+    val cases = for {
+      ss <- summaries
+      qs <- Gen.listOfN(8, Gen.frequency(3 -> nearQuery(ss), 1 -> anywhere))
+    } yield (ss, qs)
+    val prop = Prop.forAll(cases) { case (ss, qs) =>
+      val global = DitsGlobal.build(ss)
+      def ids(c: Seq[SourceSummary]) = c.map(_.sourceId).sorted
+      qs.map { q =>
+        val ojsp = Prop(ids(global.overlapCandidates(q)) == ids(ss.filter(_.lonLatRect.intersects(q)))) :|
+          s"overlap candidates for $q"
+        routingDeltas.map { d =>
+          Prop(ids(global.coverageCandidates(q, d)) == ids(ss.filter(s => s.lonLatRect.minDist(q) <= s.reach(d)))) :|
+            s"coverage candidates for $q, δ=$d"
+        }.foldLeft(ojsp)(_ && _)
+      }.reduce(_ && _) :| s"summaries ${ss.mkString(" ")}"
+    }
+    val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(1000), prop)
     assert(res.passed, res.status.toString)
   }
 }

@@ -3,9 +3,8 @@ package repro.sparkops
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.{CellSet, Grid, SynthSpatial}
 import repro.core.baselines.BruteForce
-import org.apache.spark.sql.functions._
 
-/** Pure-dataflow OJSP/CJSP operators: oracle-checked against DuckDB and
+/** Pure-dataflow OJSP operators: oracle-checked against DuckDB and
   * cross-checked against the core brute force.
   */
 class SparkJoinableSpec extends SparkSpec {
@@ -45,49 +44,5 @@ class SparkJoinableSpec extends SparkSpec {
       .sortBy { case (s, d, ov) => (-ov, s, d) }
       .take(k)
     assert(got == exp)
-  }
-
-  test("oracle: coverage of a chosen set equals DuckDB union-distinct-count") {
-    import spark.implicits._
-    val chosen = Seq((specs.head.sourceId, 0), (specs.head.sourceId, 3),
-                     (specs.last.sourceId, 7)).toDF("source_id", "dataset_id")
-    val got = SparkJoinable.coverage(cells, queryDf, chosen)
-    Oracle.assertEquivalent(got,
-      """SELECT COUNT(DISTINCT cell) AS coverage FROM (
-        |  SELECT c.cell FROM cells c JOIN chosen s
-        |    ON c.source_id = s.source_id AND c.dataset_id = s.dataset_id
-        |  UNION ALL SELECT cell FROM qcells
-        |)""".stripMargin,
-      "cells" -> cells, "qcells" -> queryDf, "chosen" -> chosen)
-  }
-
-  test("coverage matches core CellSet.union on the same chosen sets") {
-    import spark.implicits._
-    val picks = Seq(coreDatasets(0), coreDatasets(2), coreDatasets(9))
-    val chosen = picks.map(t => (t._1, t._2)).toDF("source_id", "dataset_id")
-    val got = SparkJoinable.coverage(cells, queryDf, chosen).collect().head.getLong(0)
-    val union = picks.foldLeft(CellSet.of(queryCells))((acc, t) => CellSet.union(acc, t._3))
-    assert(got == union.length)
-  }
-
-  test("oracle: marginal gains equal DuckDB anti-join counts") {
-    val covered = queryDf
-    val got = SparkJoinable.marginalGains(cells, covered)
-    Oracle.assertEquivalent(got,
-      """SELECT c.source_id, c.dataset_id, COUNT(*) AS gain
-        |FROM cells c WHERE c.cell NOT IN (SELECT cell FROM covered)
-        |GROUP BY c.source_id, c.dataset_id""".stripMargin,
-      "cells" -> cells, "covered" -> covered)
-  }
-
-  test("marginal gains match core marginalGain per dataset") {
-    val cov = CellSet.of(queryCells)
-    val got = SparkJoinable.marginalGains(cells, queryDf).collect()
-      .map(r => (r.getInt(0), r.getInt(1)) -> r.getLong(2).toInt).toMap
-    coreDatasets.foreach { case (s, d, cs) =>
-      val g = CellSet.marginalGain(cs, cov)
-      if (g > 0) assert(got((s, d)) == g)
-      else assert(!got.contains((s, d)) || got((s, d)) == 0)
-    }
   }
 }
