@@ -208,6 +208,14 @@ object CellSet {
     * member coordinates `xs`/`ys(offs(s) until offs(s + 1))`, filled by
     * counting each bucket's members and then placing them: two passes,
     * no sort and nothing boxed.
+    *
+    * The first pass also records the bounding box `[lx, hx] × [ly, hy]` of
+    * the member coordinates. A probe cell whose squared distance to that
+    * box exceeds δ² is skipped before its 3×3 buckets are looked up. The
+    * clip is exact: every member lies in the box, so the distance to the
+    * box is a lower bound on the distance to each member, and a cell it
+    * skips has no member within δ. Equality is kept (`>` δ², not `≥`), so
+    * a cell exactly δ from the box is still probed; δ = +∞ skips nothing.
     */
   final class NeighborIndex(cells: Array[Long], delta: Double) extends Serializable {
     requireDelta(delta)
@@ -219,12 +227,18 @@ object CellSet {
     private val offs = new Array[Int](mask + 2)
     private val xs = new Array[Int](cells.length)
     private val ys = new Array[Int](cells.length)
+    // Bounding box of the members; empty (lx > hx) when there are none.
+    private var lx = Int.MaxValue; private var hx = Int.MinValue
+    private var ly = Int.MaxValue; private var hy = Int.MinValue
     locally {
       java.util.Arrays.fill(keys, EmptyBucket)
       val slotOf = new Array[Int](cells.length)
       var i = 0
       while (i < cells.length) {
-        val key = bucketKey(Grid.cellX(cells(i)) / b, Grid.cellY(cells(i)) / b)
+        val x = Grid.cellX(cells(i)); val y = Grid.cellY(cells(i))
+        if (x < lx) lx = x; if (x > hx) hx = x
+        if (y < ly) ly = y; if (y > hy) hy = y
+        val key = bucketKey(x / b, y / b)
         var s = home(key)
         while (keys(s) != key && keys(s) != EmptyBucket) s = (s + 1) & mask
         keys(s) = key
@@ -257,37 +271,51 @@ object CellSet {
       s
     }
 
+    /** Whether cell (x, y) is within δ of the members' bounding box. Per
+      * axis the gap is 0 inside the box's span, else the distance to its
+      * nearer side.
+      */
+    private def nearBox(x: Int, y: Int): Boolean = {
+      val gx = if (x < lx) (lx - x).toDouble else if (x > hx) (x - hx).toDouble else 0.0
+      val gy = if (y < ly) (ly - y).toDouble else if (y > hy) (y - hy).toDouble else 0.0
+      gx * gx + gy * gy <= d2max
+    }
+
     /** Whether any cell of `other` is within δ of any indexed cell. */
     def connectedTo(other: Array[Long]): Boolean = connectedToPacked(packXY(other))
 
-    /** Same, over coordinates already packed with [[packXY]]. Cells that
-      * fall in the same bucket as the previous one reuse its 3×3 table
-      * slots.
+    /** Same, over coordinates already packed with [[packXY]]. Cells
+      * farther than δ from the members' bounding box are skipped; cells
+      * that fall in the same bucket as the previous probed one reuse its
+      * 3×3 table slots.
       */
     def connectedToPacked(other: Array[Long]): Boolean = {
+      if (lx > hx) return false
       val near = new Array[Int](9)
       var lastBx = -1; var lastBy = -1
       var i = 0
       while (i < other.length) {
         val x = (other(i) >> 32).toInt; val y = other(i).toInt
-        val bx = x / b; val by = y / b
-        if (bx != lastBx || by != lastBy) {
-          var t = 0
-          while (t < 9) { near(t) = slot(bucketKey(bx + t / 3 - 1, by + t % 3 - 1)); t += 1 }
-          lastBx = bx; lastBy = by
-        }
-        var t = 0
-        while (t < 9) {
-          val s = near(t)
-          if (s >= 0) {
-            var j = offs(s); val end = offs(s + 1)
-            while (j < end) {
-              val ddx = (x - xs(j)).toDouble; val ddy = (y - ys(j)).toDouble
-              if (ddx * ddx + ddy * ddy <= d2max) return true
-              j += 1
-            }
+        if (nearBox(x, y)) {
+          val bx = x / b; val by = y / b
+          if (bx != lastBx || by != lastBy) {
+            var t = 0
+            while (t < 9) { near(t) = slot(bucketKey(bx + t / 3 - 1, by + t % 3 - 1)); t += 1 }
+            lastBx = bx; lastBy = by
           }
-          t += 1
+          var t = 0
+          while (t < 9) {
+            val s = near(t)
+            if (s >= 0) {
+              var j = offs(s); val end = offs(s + 1)
+              while (j < end) {
+                val ddx = (x - xs(j)).toDouble; val ddy = (y - ys(j)).toDouble
+                if (ddx * ddx + ddy * ddy <= d2max) return true
+                j += 1
+              }
+            }
+            t += 1
+          }
         }
         i += 1
       }

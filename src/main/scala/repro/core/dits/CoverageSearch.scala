@@ -30,11 +30,17 @@ final case class CoverageResult(picked: Seq[Int], coverage: Int)
   *
   * The pick is the pooled dataset of maximum marginal gain (Eq. 3), ties to
   * the smaller id, chosen lazily (CELF): the pool sits in a max-heap on
-  * (gain desc, id asc) whose gains may be from earlier rounds. The gain
-  * `|S_D \ R|` never rises as R grows, so a stale gain is an upper bound:
-  * a stale top is re-evaluated and pushed back, and a top whose gain is
-  * from the current round beats every other entry, ties included. The
-  * picks are thus exactly those of the per-round greedy (SG).
+  * (gain desc, id asc) whose gains may be upper bounds. A dataset enters
+  * the heap with its size `|S_D|`, marked as older than every round, so
+  * no gain is computed when it is pooled. The gain `|S_D \ R|` never
+  * exceeds `|S_D|` and never rises as R grows, so every key in the heap
+  * bounds its entry's true gain from above: a stale top is re-evaluated
+  * and pushed back, and a top whose gain is from the current round beats
+  * every other entry, ties included. (Any other entry has a key below the
+  * top's, so a smaller true gain, or an equal key and a larger id, so a
+  * true gain that is at most equal and loses the tie.) The picks are
+  * thus exactly those of the per-round greedy (SG), the same argument
+  * that lets SG skip a dataset whose size is below the best gain so far.
   *
   * Because every pick is directly connected to the *merged* set, the
   * result is directly-or-indirectly connected to the query (Defs. 7–9).
@@ -107,7 +113,9 @@ object CoverageSearch {
     Option(best)
   }
 
-  /** A pooled candidate and its marginal gain as of round `round`. */
+  /** A pooled candidate and its marginal gain as of round `round`; a
+    * round of −1 marks the unevaluated seed `|S_D|`.
+    */
   private final class Entry(val d: DatasetNode, var gain: Int, var round: Int)
 
   /** Max-heap order: larger gain first, then the smaller id. */
@@ -125,14 +133,15 @@ object CoverageSearch {
     val picked = mutable.ArrayBuffer.empty[Int]
     val pooled = new IntSet
     val heap = mutable.PriorityQueue.empty[Entry](byGainThenId)
-    // Pool every dataset directly connected to `cells` and not pooled yet.
+    // Pool every dataset directly connected to `cells` and not pooled yet,
+    // keyed on its size until it first reaches the top.
     def grow(rect: MBR, cells: Array[Long]): Unit = {
       val found = mutable.ArrayBuffer.empty[DatasetNode]
       findConnected(index.root, rect, new CellSet.NeighborIndex(cells, delta), delta, found,
                     id => pooled.contains(id))
       found.foreach { d =>
         pooled.add(d.id)
-        heap.enqueue(new Entry(d, CellSet.marginalGain(d.cells, covered), picked.length))
+        heap.enqueue(new Entry(d, d.cells.length, -1))
       }
     }
 

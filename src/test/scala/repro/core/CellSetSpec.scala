@@ -190,6 +190,54 @@ class CellSetSpec extends AnyFunSuite {
     }
   }
 
+  /** Probe walks against indexes whose bounding box clips most of the
+    * walk. The index is empty, arbitrary cells, or two cells on the
+    * anti-diagonal of their box (plus a few inside it), so a box corner
+    * is not a member and the box is nearer to a probe than any cell. The
+    * walk starts anywhere on the grid, mostly outside the box, and gains
+    * one cell at the offset nearest δ (exactly δ for δ ∈ {0, √2, 5}, a
+    * 3-4-5 diagonal for 5) from a member or from a box corner.
+    * Coordinates are drawn with extra weight on 0 and 2^θ − 1.
+    */
+  private val boxClipCases: Gen[(Array[Long], Array[Long], Double)] = for {
+    theta <- Gen.oneOf(2, 3, 5, 28)
+    top = (1 << theta) - 1
+    coord = Gen.frequency(2 -> Gen.oneOf(0, top), 3 -> Gen.choose(0, top))
+    clamp = (v: Int) => math.min(top, math.max(0, v))
+    delta <- Gen.oneOf(0.0, 1.5, math.sqrt(2), 5.0, 1e9, Double.PositiveInfinity)
+    index <- Gen.frequency(
+      1 -> Gen.const(Seq.empty[(Int, Int)]),
+      2 -> Gen.choose(1, 6).flatMap(Gen.listOfN(_, Gen.zip(coord, coord))),
+      4 -> (for {
+        x0 <- coord; x1 <- coord; y0 <- coord; y1 <- coord
+        (lx, hx, ly, hy) = (math.min(x0, x1), math.max(x0, x1), math.min(y0, y1), math.max(y0, y1))
+        inner <- Gen.choose(0, 3).flatMap(Gen.listOfN(_, Gen.zip(Gen.choose(lx, hx), Gen.choose(ly, hy))))
+      } yield Seq((lx, hy), (hx, ly)) ++ inner))
+    start <- Gen.zip(coord, coord)
+    steps <- Gen.choose(0, 30).flatMap(Gen.listOfN(_, Gen.zip(Gen.choose(-2, 2), Gen.choose(-2, 2))))
+    anchors = if (index.isEmpty) Seq(start) else {
+      val xs = index.map(_._1); val ys = index.map(_._2)
+      index ++ (for (x <- Seq(xs.min, xs.max); y <- Seq(ys.min, ys.max)) yield (x, y))
+    }
+    anchor <- Gen.oneOf(anchors)
+    nearest = for (dx <- -6 to 6; dy <- -6 to 6) yield (dx, dy)
+    best = nearest.map { case (dx, dy) => math.abs(math.hypot(dx, dy) - delta) }.min
+    offset <- Gen.oneOf(nearest.filter { case (dx, dy) => math.abs(math.hypot(dx, dy) - delta) == best })
+  } yield {
+    val walk = steps.scanLeft(start) { case ((x, y), (dx, dy)) => (clamp(x + dx), clamp(y + dy)) }
+    val atDelta = (clamp(anchor._1 + offset._1), clamp(anchor._2 + offset._2))
+    def cells(xys: Seq[(Int, Int)]) = CellSet.of(xys.map { case (x, y) => Grid.interleave(x, y) })
+    (cells(index), cells(walk :+ atDelta), delta)
+  }
+
+  test("NeighborIndex's bounding-box clip ≡ CellSet.connected on probe walks around the box (property)") {
+    check(Prop.forAll(boxClipCases) { case (a, b, delta) =>
+      val exp = CellSet.connected(a, b, delta)
+      Prop(new CellSet.NeighborIndex(a, delta).connectedTo(b) == exp) :|
+        s"a=${a.map(c => (Grid.cellX(c), Grid.cellY(c))).toSeq} b=${b.map(c => (Grid.cellX(c), Grid.cellY(c))).toSeq} δ=$delta expected $exp"
+    })
+  }
+
   test("the distance of two cell sets' MBRs is a lower bound on their cell distance (property)") {
     check(Prop.forAll(cellPairs) { case (a, b) =>
       (a.nonEmpty && b.nonEmpty) ==> (CellSet.mbr(a).minDist(CellSet.mbr(b)) <= CellSet.minDist(a, b))

@@ -264,6 +264,45 @@ class CoverageSearchSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
+  /** Worlds where a dataset's size is a loose bound on its gain, so the
+    * `|S_D|` seeds of CoverageSearch's heap are far from the true gains:
+    * datasets inside the query (gain 0, seeded with up to the query's
+    * size), copies under other ids (equal sizes and gains), single cells,
+    * on 2^θ × 2^θ grids with θ ∈ {2, 3}, and k from 1 to past the
+    * connected pool.
+    */
+  private val seededWorlds: Gen[Instance] = for {
+    theta <- Gen.oneOf(2, 3)
+    span = 1 << theta
+    cell = Gen.zip(Gen.choose(0, span - 1), Gen.choose(0, span - 1)).map { case (x, y) => Grid.interleave(x, y) }
+    query <- Gen.choose(1, 2 * span).flatMap(Gen.listOfN(_, cell)).map(CellSet.of(_))
+    n <- Gen.choose(1, 14)
+    ids <- Gen.pick(n, 0 until 40)
+    idOrder <- Gen.long
+    kinds <- Gen.listOfN(n, Gen.frequency(
+      3 -> Gen.choose(2, 6).flatMap(Gen.listOfN(_, cell)).map(CellSet.of(_)),
+      3 -> Gen.atLeastOne(query.toSeq).map(CellSet.of(_)),
+      2 -> cell.map(c => Array(c))))
+    copyOf <- Gen.listOfN(n, Gen.frequency(2 -> Gen.const(-1), 1 -> Gen.choose(0, n - 1)))
+    delta <- Gen.oneOf(0.0, 1.0, 1.5, 2.0, 1e9)
+    k <- Gen.oneOf(1, 2, n, n + 5)
+    capacity <- Gen.oneOf(2, 3, 5)
+  } yield {
+    val cells = kinds.toArray
+    for (i <- 0 until n if copyOf(i) >= 0 && copyOf(i) < i) cells(i) = cells(copyOf(i))
+    Instance(new Random(idOrder).shuffle(ids.toIndexedSeq).zip(cells), query, delta, k, capacity)
+  }
+
+  test("CoverageSearch's |S_D|-seeded CELF heap ≡ SG: picks, tie order and coverage (property)") {
+    val prop = Prop.forAll(seededWorlds) { in =>
+      val a = CoverageSearch.search(DitsLocal.build(in.ds, in.capacity), in.query, in.delta, in.k)
+      val b = StandardGreedy.sg(in.ds, in.query, in.delta, in.k)
+      Prop(a == b) :| s"CoverageSearch=$a SG=$b"
+    }
+    val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(1000), prop)
+    assert(res.passed, res.status.toString)
+  }
+
   /** FindConnectSet is exact: with or without a `known` predicate it
     * returns every dataset connected to the merged set and nothing else,
     * whatever the Lemma 4 and rect bounds prune. δ = 0 and δ = 1 put
