@@ -170,7 +170,7 @@ class IndexUpdateBench extends BenchSuite {
   test("Figs. 21–22: batch insert/update timings across five indexes") {
     val t = Experiments.indexUpdates(scale = Scale)
     println(t.render)
-    Seq(100, 150, 200, 250, 300).foreach { b =>
+    Workloads.Betas.foreach { b =>
       Seq("DITS-L", "QuadTree", "Rtree", "STS3", "Josie").foreach { ix =>
         assert(t.metrics(s"$ix-insert@$b") > 0, s"$ix insert β=$b missing")
         assert(t.metrics(s"$ix-update@$b") > 0, s"$ix update β=$b missing")

@@ -17,7 +17,7 @@ object BruteForce {
       .map { case (id, cells) => OverlapHit(id, CellSet.intersectionSize(cells, query)) }
       .filter(_.overlap > 0)
       .toSeq
-      .sortBy(h => (-h.overlap, h.id))
+      .sorted
       .take(k)
 
   /** Exhaustive CJSP optimum — only for tiny instances (≤ ~15 datasets).

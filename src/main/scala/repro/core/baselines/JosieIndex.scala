@@ -58,8 +58,6 @@ final class JosieIndex {
     // Rarest-first ordering concentrates discriminative cells up front.
     val ordered = queryCells.sortBy(c => inv.get(c).map(_.length).getOrElse(0))
     val counts = mutable.HashMap.empty[Int, Int]
-    implicit val ord: Ordering[OverlapHit] =
-      Ordering.by[OverlapHit, (Int, Int)](h => (-h.overlap, h.id))
     var processed = 0
     var done = false
     while (processed < ordered.length && !done) {
@@ -94,7 +92,7 @@ final class JosieIndex {
       }
     }
     counts.iterator.map { case (id, ov) => OverlapHit(id, ov) }
-      .toSeq.sortBy(h => (-h.overlap, h.id)).take(k)
+      .toSeq.sorted.take(k)
   }
 }
 

@@ -7,11 +7,12 @@ import scala.collection.mutable
 /** QuadTree baseline [Gargantini 82] as used in Section VII: the index is
   * built over the *cell IDs of all datasets* (one entry per (cell,
   * dataset) pair), recursively splitting each quadrant that holds more
-  * than `capacity` entries. OJSP finds all leaves intersecting the query
+  * than `Capacity` (4) entries. OJSP finds all leaves intersecting the query
   * MBR and counts, per dataset, the entries whose cell is in the query set
   * — behaviour the paper describes as "similar to the inverted index".
   */
-final class QuadTreeIndex(side: Int, capacity: Int = 4) {
+final class QuadTreeIndex(side: Int) {
+  import QuadTreeIndex.Capacity
 
   private final class QNode(val rect: MBR) {
     var entries: mutable.ArrayBuffer[(Long, Int)] = mutable.ArrayBuffer.empty
@@ -42,7 +43,7 @@ final class QuadTreeIndex(side: Int, capacity: Int = 4) {
     var n = root
     while (!n.isLeaf) n = n.children(quadrantOf(n, cell))
     n.entries += ((cell, id))
-    if (n.entries.length > capacity && n.rect.width(0) > 1) split(n)
+    if (n.entries.length > Capacity && n.rect.width(0) > 1) split(n)
   }
 
   private def removeEntry(cell: Long, id: Int): Unit = {
@@ -92,11 +93,14 @@ final class QuadTreeIndex(side: Int, capacity: Int = 4) {
       }
     go(root)
     counts.iterator.map { case (id, cs) => OverlapHit(id, cs.size) }
-      .toSeq.sortBy(h => (-h.overlap, h.id)).take(k)
+      .toSeq.sorted.take(k)
   }
 }
 
 object QuadTreeIndex {
+  /** Entries a quadrant holds before it splits. */
+  private val Capacity = 4
+
   def build(datasets: Iterable[(Int, Array[Long])], side: Int): QuadTreeIndex = {
     val qt = new QuadTreeIndex(side)
     datasets.foreach { case (id, cells) => qt.insertDataset(id, cells) }

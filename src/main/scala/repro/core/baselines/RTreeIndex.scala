@@ -147,7 +147,7 @@ final class RTreeIndex(val capacity: Int = 10) {
         if (i.rect.intersects(qRect)) i.children.foreach(go)
     }
     go(root)
-    hits.sortBy(h => (-h.overlap, h.id)).take(k).toSeq
+    hits.sorted.take(k).toSeq
   }
 }
 

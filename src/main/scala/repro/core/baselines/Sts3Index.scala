@@ -53,7 +53,7 @@ final class Sts3Index {
       i += 1
     }
     counts.iterator.map { case (id, ov) => OverlapHit(id, ov) }
-      .toSeq.sortBy(h => (-h.overlap, h.id)).take(k)
+      .toSeq.sorted.take(k)
   }
 }
 

@@ -54,16 +54,10 @@ object CoverageSearch {
   }
 
   /** FindConnectSet: all dataset nodes within cell-distance δ of the
-    * merged set, via the Lemma 4 bounds. `mergedCells` is only consulted
-    * (through its NeighborIndex) for the exact verification at leaves.
-    */
-  def findConnected(root: TreeNode, mergedRect: MBR, mergedCells: Array[Long],
-                    delta: Double, out: mutable.ArrayBuffer[DatasetNode]): Unit =
-    findConnected(root, mergedRect, new CellSet.NeighborIndex(mergedCells, delta), delta, out)
-
-  /** FindConnectSet against a prebuilt δ-connectivity tester (reused when
-    * the same merged set probes several subtrees). Datasets whose id is
-    * `known` are skipped before the exact test and left out of `out`.
+    * merged set, via the Lemma 4 bounds; `merged` (the merged cells'
+    * δ-connectivity tester) is only consulted for the exact verification
+    * at leaves. Datasets whose id is `known` are skipped before the exact
+    * test and left out of `out`.
     *
     * Beside Lemma 4's ball bound, the distance between two rects is a
     * lower bound on the cell distance (every cell lies inside its node's

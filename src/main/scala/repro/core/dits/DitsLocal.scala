@@ -1,6 +1,7 @@
 package repro.core.dits
 
 import repro.core.MBR
+import scala.annotation.tailrec
 import scala.collection.mutable
 
 /** DITS-L — the per-data-source local index (Section V-A, Algorithm 1).
@@ -27,25 +28,16 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
 
   /** All dataset nodes currently indexed. */
   def datasets: Iterator[DatasetNode] = root.datasets
-  def size: Int = root.size
+  def size: Int = byId.size
 
-  /** Number of tree nodes (internal + leaf) — the Fig. 8 memory proxy. */
-  def nodeCount: Int = {
-    def go(n: TreeNode): Int = n match {
-      case _: Leaf     => 1
-      case i: Internal => 1 + go(i.left) + go(i.right)
-    }
-    go(root)
-  }
+  /** Number of tree nodes (internal + leaf) — the Fig. 8 memory proxy.
+    * Every internal node has two children, so there is one fewer of them
+    * than there are leaves.
+    */
+  def nodeCount: Int = 2 * root.leaves.size - 1
 
   /** Total posting-list entries across all leaves. */
-  def postingEntries: Long = {
-    def go(n: TreeNode): Long = n match {
-      case l: Leaf     => l.slots.length.toLong
-      case i: Internal => go(i.left) + go(i.right)
-    }
-    go(root)
-  }
+  def postingEntries: Long = root.leaves.map(_.slots.length.toLong).sum
 
   /** Appendix C insert: descend to the leaf whose pivot is nearest, add
     * the dataset node, and refresh MBRs up to the root. A leaf that is
@@ -54,12 +46,12 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
     */
   def insert(d: DatasetNode): Unit = {
     register(d)
-    var n = root
-    while (!n.isLeaf) {
-      val i = n.asInstanceOf[Internal]
-      n = if (d.pivot.dist(i.left.pivot) <= d.pivot.dist(i.right.pivot)) i.left else i.right
+    @tailrec def descend(n: TreeNode): Leaf = n match {
+      case l: Leaf     => l
+      case i: Internal =>
+        descend(if (d.pivot.dist(i.left.pivot) <= d.pivot.dist(i.right.pivot)) i.left else i.right)
     }
-    val leaf = n.asInstanceOf[Leaf]
+    val leaf = descend(root)
     if (leaf.children.length >= capacity)
       replaceChild(leaf, DitsLocal.buildNode((leaf.children :+ d).toArray, capacity))
     else {
@@ -119,18 +111,16 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
 
 object DitsLocal {
 
-  /** Algorithm 1: build the local index over `nodes` with leaf capacity f. */
-  def build(nodes: Array[DatasetNode], capacity: Int): DitsLocal = {
-    require(nodes.nonEmpty, "cannot index an empty data source")
+  /** Algorithm 1: build the local index over `datasets` with leaf capacity f. */
+  def build(datasets: Iterable[(Int, Array[Long])], capacity: Int): DitsLocal = {
+    require(datasets.nonEmpty, "cannot index an empty data source")
+    val nodes = datasets.map { case (id, cells) => DatasetNode(id, cells) }.toArray
     new DitsLocal(buildNode(nodes, capacity), capacity)
   }
 
-  def build(datasets: Iterable[(Int, Array[Long])], capacity: Int): DitsLocal =
-    build(datasets.map { case (id, cells) => DatasetNode(id, cells) }.toArray, capacity)
-
   private[dits] def buildNode(nodes: Array[DatasetNode], capacity: Int): TreeNode =
     medianSplit[DatasetNode, TreeNode](nodes, _.rect, capacity)(
-      (rect, ds) => { val leaf = new Leaf(rect, capacity); leaf.addAll(ds); leaf },
+      (rect, ds) => { val leaf = new Leaf(rect); leaf.addAll(ds); leaf },
       (rect, left, right) => {
         val in = new Internal(rect, left, right)
         left.parent = in; right.parent = in
@@ -159,11 +149,5 @@ object DitsLocal {
       }
     }
     go(items)
-  }
-
-  /** Collect all leaves under `n` (test/diagnostic helper). */
-  def leaves(n: TreeNode): Seq[Leaf] = n match {
-    case l: Leaf     => Seq(l)
-    case i: Internal => leaves(i.left) ++ leaves(i.right)
   }
 }

@@ -39,22 +39,16 @@ sealed trait TreeNode extends Serializable {
   var parent: Internal = _
   def pivot: Point   = rect.pivot
   def radius: Double = rect.radius
-  def isLeaf: Boolean
+  /** The leaves of this subtree, left to right. */
+  def leaves: Iterator[Leaf] = this match {
+    case l: Leaf     => Iterator.single(l)
+    case i: Internal => i.left.leaves ++ i.right.leaves
+  }
   /** All dataset nodes in this subtree. */
-  def datasets: Iterator[DatasetNode] = this match {
-    case l: Leaf     => l.children.iterator
-    case i: Internal => i.left.datasets ++ i.right.datasets
-  }
-  def size: Int = this match {
-    case l: Leaf     => l.children.length
-    case i: Internal => i.left.size + i.right.size
-  }
+  def datasets: Iterator[DatasetNode] = leaves.flatMap(_.children)
 }
 
-final class Internal(var rect: MBR, var left: TreeNode, var right: TreeNode)
-    extends TreeNode {
-  def isLeaf = false
-}
+final class Internal(var rect: MBR, var left: TreeNode, var right: TreeNode) extends TreeNode
 
 /** Leaf node: child dataset nodes plus their inverted index (Def. 14),
   * stored flat: `keys` holds the distinct cells of all children in
@@ -67,8 +61,7 @@ final class Internal(var rect: MBR, var left: TreeNode, var right: TreeNode)
   * `remove` build new ones, so an index version stays consistent while it
   * is read.
   */
-final class Leaf(var rect: MBR, val capacity: Int) extends TreeNode {
-  def isLeaf = true
+final class Leaf(var rect: MBR) extends TreeNode {
   val children: mutable.ArrayBuffer[DatasetNode] = mutable.ArrayBuffer.empty
   private[dits] var keys: Array[Long] = Array.emptyLongArray
   private[dits] var offs: Array[Int]  = Array(0)

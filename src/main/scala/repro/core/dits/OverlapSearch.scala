@@ -6,6 +6,14 @@ import scala.collection.mutable
 /** OJSP result entry: dataset id and its exact `|S_Q ∩ S_D|`. */
 final case class OverlapHit(id: Int, overlap: Int)
 
+object OverlapHit {
+  /** The result order of every OJSP engine: higher overlap first, ties to
+    * the smaller id.
+    */
+  implicit val ordering: Ordering[OverlapHit] = (a, b) =>
+    if (a.overlap != b.overlap) Integer.compare(b.overlap, a.overlap) else Integer.compare(a.id, b.id)
+}
+
 /** Algorithm 2 — OverlapSearch: branch-and-bound over DITS-L with
   * leaf-level intersection bounds (Lemma 2), followed by exact
   * verification through the leaf inverted indexes.

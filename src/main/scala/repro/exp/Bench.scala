@@ -1,26 +1,38 @@
 package repro.exp
 
-/** Tiny measurement harness: wall-clock timing with warmup, and an
-  * aligned-table renderer shared by the spark-submit jobs and the bench
-  * suites, so every table/figure regenerates in the same format recorded
-  * in EXPERIMENTS.md.
+/** Tiny measurement harness: the one wall-clock timing rule of every
+  * reproduced figure, and an aligned-table renderer shared by the
+  * spark-submit jobs and the bench suites, so every table/figure
+  * regenerates in the same format recorded in EXPERIMENTS.md.
   */
 object Bench {
 
-  /** Milliseconds for one evaluation of `f` (forcing the value). */
-  def timeMs[A](f: => A): Double = {
-    val t0 = System.nanoTime()
-    val r = f
-    identity(r)
-    (System.nanoTime() - t0) / 1e6
-  }
+  /** Untimed warm-up runs before the timed ones (JIT compilation). */
+  val Warmup = 2
+  /** Timed runs; their median is reported. */
+  val Reps = 5
 
-  /** Median-of-`reps` timing after `warmup` unmeasured runs. */
-  def medianMs[A](warmup: Int = 1, reps: Int = 3)(f: => A): Double = {
+  /** Median wall-clock milliseconds of `run` over [[Reps]] timed runs after
+    * [[Warmup]] untimed ones.
+    */
+  def medianMs(run: => Any): Double = medianMsAfter(())(_ => run)
+
+  /** As [[medianMs]], but each run first gets its own value from `setup`
+    * (say, a fresh index to write into), which is not timed.
+    */
+  def medianMsAfter[S](setup: => S)(run: S => Any): Double = {
+    val ts = new Array[Double](Reps)
     var i = 0
-    while (i < warmup) { f; i += 1 }
-    val ts = Array.fill(reps)(timeMs(f)).sorted
-    ts(ts.length / 2)
+    while (i < Warmup + Reps) {
+      val s = setup
+      val t0 = System.nanoTime()
+      run(s)
+      val ms = (System.nanoTime() - t0) / 1e6
+      if (i >= Warmup) ts(i - Warmup) = ms
+      i += 1
+    }
+    java.util.Arrays.sort(ts)
+    ts(Reps / 2)
   }
 
   /** Render rows as an aligned text table. */

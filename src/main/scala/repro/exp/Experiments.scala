@@ -46,67 +46,66 @@ object Experiments {
   // ------------------------------------------------------------------ //
   // Fig. 8 — index construction time and memory vs θ                    //
   // ------------------------------------------------------------------ //
-  def indexConstruction(thetas: Seq[Int] = ParamGrid.theta,
-                        scale: Double = 0.1, f: Int = ParamGrid.fDefault): ExpTable = {
-    val rows = thetas.flatMap { th =>
+  def indexConstruction(scale: Double = 0.1): ExpTable = {
+    val f = ParamGrid.fDefault
+    val rows = ParamGrid.theta.flatMap { th =>
       val sources = Workloads.cellSources(th, scale)
       val pool = pooled(sources)
       val side = sources.head.grid.side
-      def entry(name: String, buildMs: => Double, mem: => Long) = {
-        val ms = buildMs
-        (Seq(th.toString, name, Bench.fmt(ms), mem.toString),
-         Map(s"$name-build@$th" -> ms, s"$name-mem@$th" -> mem.toDouble))
+      val cells = pool.map(_._2.length.toLong).sum
+      def entry[A](name: String, build: => A)(mem: A => Long) = {
+        val ms = Bench.medianMs(build)
+        val units = mem(build)
+        (Seq(th.toString, name, Bench.fmt(ms), units.toString),
+         Map(s"$name-build@$th" -> ms, s"$name-mem@$th" -> units.toDouble))
       }
-      val dits   = entry("DITS-L",  Bench.medianMs(1, 3)(DitsLocal.build(pool, f)),
-                         { val ix = DitsLocal.build(pool, f); ix.nodeCount + ix.postingEntries })
-      val quad   = entry("QuadTree", Bench.medianMs(1, 3)(QuadTreeIndex.build(pool, side)),
-                         { val ix = QuadTreeIndex.build(pool, side)
-                           ix.nodeCount.toLong + pool.map(_._2.length.toLong).sum })
-      val rtree  = entry("Rtree",   Bench.medianMs(1, 3)(RTreeIndex.build(pool, f)),
-                         { val ix = RTreeIndex.build(pool, f)
-                           ix.nodeCount.toLong + pool.map(_._2.length.toLong).sum })
-      val sts3   = entry("STS3",    Bench.medianMs(1, 3)(Sts3Index.build(pool)),
-                         Sts3Index.build(pool).postingEntries)
-      val josie  = entry("Josie",   Bench.medianMs(1, 3)(JosieIndex.build(pool)),
-                         JosieIndex.build(pool).postingEntries)
-      Seq(dits, quad, rtree, sts3, josie)
+      Seq(
+        entry("DITS-L", DitsLocal.build(pool, f))(ix => ix.nodeCount + ix.postingEntries),
+        entry("QuadTree", QuadTreeIndex.build(pool, side))(_.nodeCount + cells),
+        entry("Rtree", RTreeIndex.build(pool, f))(_.nodeCount + cells),
+        entry("STS3", Sts3Index.build(pool))(_.postingEntries),
+        entry("Josie", JosieIndex.build(pool))(_.postingEntries))
     }
     ExpTable("Fig. 8 — index construction vs θ",
       Seq("theta", "index", "build_ms", "mem_units"),
       rows.map(_._1), rows.flatMap(_._2).toMap)
   }
 
+  /** Median time (ms, [[Bench]]'s rule) of each named engine answering
+    * every query of `queries` in turn.
+    */
+  private def batchTimes(queries: IndexedSeq[Array[Long]],
+                         engines: Seq[(String, Array[Long] => Any)]): Map[String, Double] =
+    engines.map { case (name, run) => name -> Bench.medianMs(queries.foreach(run)) }.toMap
+
   // ------------------------------------------------------------------ //
   // Figs. 9–12 — OJSP search time vs k, θ, q, f (5 algorithms)          //
   // ------------------------------------------------------------------ //
 
-  /** Prebuilt OJSP engines so sweeps over k/q reuse the same indexes and
-    * JIT warmup is not billed to the first sweep value.
+  private type Ojsp = (Array[Long], Int) => Any
+
+  /** The OJSP engines named in `algs`, each built once over `pool`, so
+    * sweeps over k/q reuse the same indexes.
     */
-  final class OjspEngines(pool: IndexedSeq[(Int, Array[Long])], side: Int, f: Int) {
-    val dits: DitsLocal = DitsLocal.build(pool, f)
-    val quad: QuadTreeIndex = QuadTreeIndex.build(pool, side)
-    val rtree: RTreeIndex = RTreeIndex.build(pool, f)
-    val sts3: Sts3Index = Sts3Index.build(pool)
-    val josie: JosieIndex = JosieIndex.build(pool)
+  private def ojspEngines(pool: IndexedSeq[(Int, Array[Long])], side: Int, f: Int,
+                          algs: Seq[String]): Seq[(String, Ojsp)] =
+    algs.map { name =>
+      val search: Ojsp = name match {
+        case "DITS" =>
+          val ix = DitsLocal.build(pool, f)
+          (q, k) => OverlapSearch.search(ix, q, k)
+        case "QuadTree" => QuadTreeIndex.build(pool, side).overlapTopK
+        case "Rtree"    => RTreeIndex.build(pool, f).overlapTopK
+        case "STS3"     => Sts3Index.build(pool).overlapTopK
+        case "Josie"    => JosieIndex.build(pool).overlapTopK
+      }
+      name -> search
+    }
 
-    def searchers(restrict: Set[String]): Seq[(String, (Array[Long], Int) => Any)] = Seq(
-      "DITS"     -> ((q: Array[Long], k: Int) => OverlapSearch.search(dits, q, k)),
-      "QuadTree" -> ((q: Array[Long], k: Int) => quad.overlapTopK(q, k)),
-      "Rtree"    -> ((q: Array[Long], k: Int) => rtree.overlapTopK(q, k)),
-      "STS3"     -> ((q: Array[Long], k: Int) => sts3.overlapTopK(q, k)),
-      "Josie"    -> ((q: Array[Long], k: Int) => josie.overlapTopK(q, k)),
-    ).filter { case (n, _) => restrict(n) }
-  }
-
-  /** Total search time (ms) over `queries` for each OJSP algorithm. */
-  private def ojspTimes(engines: OjspEngines, queries: IndexedSeq[Array[Long]], k: Int,
-                        algs: Set[String]): Map[String, Double] =
-    engines.searchers(algs).map { case (name, s) =>
-      name -> Bench.medianMs(2, 5)(queries.foreach(q => s(q, k)))
-    }.toMap
-
-  private val AllOjsp = Set("DITS", "QuadTree", "Rtree", "STS3", "Josie")
+  /** Total search time (ms) over `queries` for each OJSP engine. */
+  private def ojspTimes(engines: Seq[(String, Ojsp)], queries: IndexedSeq[Array[Long]],
+                        k: Int): Map[String, Double] =
+    batchTimes(queries, engines.map { case (name, s) => name -> ((q: Array[Long]) => s(q, k)) })
 
   private def sweep(title: String, param: String, values: Seq[String],
                     algs: Seq[String],
@@ -121,40 +120,40 @@ object Experiments {
 
   private val OjspAlgOrder = Seq("DITS", "QuadTree", "Rtree", "STS3", "Josie")
 
-  def overlapVsK(scale: Double = 0.1, q: Int = ParamGrid.qDefault): ExpTable = {
+  /** The five OJSP engines over the sources at resolution θ. */
+  private def allOjsp(sources: IndexedSeq[CellSource]): Seq[(String, Ojsp)] =
+    ojspEngines(pooled(sources), sources.head.grid.side, ParamGrid.fDefault, OjspAlgOrder)
+
+  def overlapVsK(scale: Double = 0.1): ExpTable = {
     val sources = Workloads.cellSources(ParamGrid.thetaDefault, scale)
-    val engines = new OjspEngines(pooled(sources), sources.head.grid.side, ParamGrid.fDefault)
-    val queries = Workloads.sampleQueries(sources, q)
+    val engines = allOjsp(sources)
+    val queries = Workloads.sampleQueries(sources, ParamGrid.qDefault)
     sweep("Fig. 9 — OJSP time (ms) vs k", "k", ParamGrid.k.map(_.toString), OjspAlgOrder,
-      v => ojspTimes(engines, queries, v.toInt, AllOjsp))
+      v => ojspTimes(engines, queries, v.toInt))
   }
 
-  def overlapVsTheta(scale: Double = 0.1, q: Int = ParamGrid.qDefault): ExpTable =
+  def overlapVsTheta(scale: Double = 0.1): ExpTable =
     sweep("Fig. 10 — OJSP time (ms) vs θ", "theta", ParamGrid.theta.map(_.toString),
           OjspAlgOrder, v => {
       val sources = Workloads.cellSources(v.toInt, scale)
-      val engines = new OjspEngines(pooled(sources), sources.head.grid.side, ParamGrid.fDefault)
-      val queries = Workloads.sampleQueries(sources, q)
-      ojspTimes(engines, queries, ParamGrid.kDefault, AllOjsp)
+      ojspTimes(allOjsp(sources), Workloads.sampleQueries(sources, ParamGrid.qDefault),
+                ParamGrid.kDefault)
     })
 
   def overlapVsQ(scale: Double = 0.1): ExpTable = {
     val sources = Workloads.cellSources(ParamGrid.thetaDefault, scale)
-    val engines = new OjspEngines(pooled(sources), sources.head.grid.side, ParamGrid.fDefault)
-    sweep("Fig. 11 — OJSP time (ms) vs q", "q", ParamGrid.q.map(_.toString), OjspAlgOrder, v => {
-      val queries = Workloads.sampleQueries(sources, v.toInt)
-      ojspTimes(engines, queries, ParamGrid.kDefault, AllOjsp)
-    })
+    val engines = allOjsp(sources)
+    sweep("Fig. 11 — OJSP time (ms) vs q", "q", ParamGrid.q.map(_.toString), OjspAlgOrder,
+      v => ojspTimes(engines, Workloads.sampleQueries(sources, v.toInt), ParamGrid.kDefault))
   }
 
-  def overlapVsF(scale: Double = 0.1, q: Int = ParamGrid.qDefault): ExpTable = {
+  def overlapVsF(scale: Double = 0.1): ExpTable = {
     val sources = Workloads.cellSources(ParamGrid.thetaDefault, scale)
     val pool = pooled(sources); val side = sources.head.grid.side
-    val queries = Workloads.sampleQueries(sources, q)
-    sweep("Fig. 12 — OJSP time (ms) vs f", "f", ParamGrid.f.map(_.toString),
-          Seq("DITS", "Rtree"), // others have no f (paper, Fig. 12)
-      v => ojspTimes(new OjspEngines(pool, side, v.toInt), queries,
-                     ParamGrid.kDefault, Set("DITS", "Rtree")))
+    val queries = Workloads.sampleQueries(sources, ParamGrid.qDefault)
+    val algs = Seq("DITS", "Rtree") // others have no f (paper, Fig. 12)
+    sweep("Fig. 12 — OJSP time (ms) vs f", "f", ParamGrid.f.map(_.toString), algs,
+      v => ojspTimes(ojspEngines(pool, side, v.toInt, algs), queries, ParamGrid.kDefault))
   }
 
   // ------------------------------------------------------------------ //
@@ -168,39 +167,37 @@ object Experiments {
   // ------------------------------------------------------------------ //
   // Figs. 15–18 — CJSP search time vs k, θ, q, δ (3 algorithms)         //
   // ------------------------------------------------------------------ //
-  private def cjspTimes(pool: IndexedSeq[(Int, Array[Long])], ix: DitsLocal,
-                        queries: IndexedSeq[Array[Long]],
-                        delta: Double, k: Int): Map[String, Double] = {
-    // One unmeasured warm-up pass (JIT) on a cut-down instance.
-    val wq = queries.head
-    CoverageSearch.search(ix, wq, delta, 2)
-    StandardGreedy.sgDits(ix, wq, delta, 2)
-    StandardGreedy.sg(pool.take(100), wq, delta, 2)
-    Map(
-      "CoverageSearch" -> Bench.timeMs(queries.foreach(q => CoverageSearch.search(ix, q, delta, k))),
-      "SG+DITS"        -> Bench.timeMs(queries.foreach(q => StandardGreedy.sgDits(ix, q, delta, k))),
-      "SG"             -> Bench.timeMs(queries.foreach(q => StandardGreedy.sg(pool, q, delta, k))),
-    )
-  }
+
+  /** Queries per CJSP batch in Figs. 15, 16 and 18 (SG is slow). */
+  private val CjspQueries = 5
 
   private val CjspAlgs = Seq("CoverageSearch", "SG+DITS", "SG")
 
-  def coverageVsK(scale: Double = 0.1, q: Int = 5): ExpTable = {
+  /** The three CJSP algorithms at (δ, k); the two DITS engines share
+    * `ix`, built over `pool`.
+    */
+  private def cjspEngines(pool: IndexedSeq[(Int, Array[Long])], ix: DitsLocal,
+                          delta: Double, k: Int): Seq[(String, Array[Long] => Any)] = Seq(
+    "CoverageSearch" -> (q => CoverageSearch.search(ix, q, delta, k)),
+    "SG+DITS"        -> (q => StandardGreedy.sgDits(ix, q, delta, k)),
+    "SG"             -> (q => StandardGreedy.sg(pool, q, delta, k)))
+
+  def coverageVsK(scale: Double = 0.1): ExpTable = {
     val sources = Workloads.cellSources(ParamGrid.thetaDefault, scale)
     val pool = pooled(sources)
     val ix = DitsLocal.build(pool, ParamGrid.fDefault)
-    val queries = Workloads.sampleQueries(sources, q)
+    val queries = Workloads.sampleQueries(sources, CjspQueries)
     sweep("Fig. 15 — CJSP time (ms) vs k", "k", ParamGrid.k.map(_.toString), CjspAlgs,
-      v => cjspTimes(pool, ix, queries, ParamGrid.deltaDefault, v.toInt))
+      v => batchTimes(queries, cjspEngines(pool, ix, ParamGrid.deltaDefault, v.toInt)))
   }
 
-  def coverageVsTheta(scale: Double = 0.1, q: Int = 5): ExpTable = {
+  def coverageVsTheta(scale: Double = 0.1): ExpTable = {
     sweep("Fig. 16 — CJSP time (ms) vs θ", "theta", ParamGrid.theta.map(_.toString), CjspAlgs, v => {
       val sources = Workloads.cellSources(v.toInt, scale)
       val pool = pooled(sources)
-      val queries = Workloads.sampleQueries(sources, q)
-      cjspTimes(pool, DitsLocal.build(pool, ParamGrid.fDefault), queries,
-                ParamGrid.deltaDefault, ParamGrid.kDefault)
+      val queries = Workloads.sampleQueries(sources, CjspQueries)
+      val ix = DitsLocal.build(pool, ParamGrid.fDefault)
+      batchTimes(queries, cjspEngines(pool, ix, ParamGrid.deltaDefault, ParamGrid.kDefault))
     })
   }
 
@@ -209,18 +206,18 @@ object Experiments {
     val pool = pooled(sources)
     val ix = DitsLocal.build(pool, ParamGrid.fDefault)
     sweep("Fig. 17 — CJSP time (ms) vs q", "q", ParamGrid.q.map(_.toString), CjspAlgs, v => {
-      val queries = Workloads.sampleQueries(sources, v.toInt)
-      cjspTimes(pool, ix, queries, ParamGrid.deltaDefault, ParamGrid.kDefault)
+      batchTimes(Workloads.sampleQueries(sources, v.toInt),
+                 cjspEngines(pool, ix, ParamGrid.deltaDefault, ParamGrid.kDefault))
     })
   }
 
-  def coverageVsDelta(scale: Double = 0.1, q: Int = 5): ExpTable = {
+  def coverageVsDelta(scale: Double = 0.1): ExpTable = {
     val sources = Workloads.cellSources(ParamGrid.thetaDefault, scale)
     val pool = pooled(sources)
     val ix = DitsLocal.build(pool, ParamGrid.fDefault)
-    val queries = Workloads.sampleQueries(sources, q)
+    val queries = Workloads.sampleQueries(sources, CjspQueries)
     sweep("Fig. 18 — CJSP time (ms) vs δ", "delta", ParamGrid.delta.map(_.toString), CjspAlgs,
-      v => cjspTimes(pool, ix, queries, v.toDouble, ParamGrid.kDefault))
+      v => batchTimes(queries, cjspEngines(pool, ix, v.toDouble, ParamGrid.kDefault)))
   }
 
   // ------------------------------------------------------------------ //
@@ -253,7 +250,7 @@ object Experiments {
       "q" +: labels.flatMap(n => Seq(s"$n KB", s"$n ms")),
       rows.map { case (q, cs) =>
         q.toString +: cs.flatMap(c =>
-          Seq(Bench.fmt(c.total / 1024.0), Bench.fmt(c.transferMillis()))) },
+          Seq(Bench.fmt(c.total / 1024.0), Bench.fmt(c.transferMillis))) },
       rows.flatMap { case (q, cs) =>
         labels.zip(cs).map { case (n, c) => s"$n@$q" -> c.total.toDouble }
       }.toMap)
@@ -262,8 +259,8 @@ object Experiments {
   // ------------------------------------------------------------------ //
   // Figs. 21–22 — index update time vs β (5 indexes)                    //
   // ------------------------------------------------------------------ //
-  def indexUpdates(betas: Seq[Int] = Seq(100, 150, 200, 250, 300),
-                   scale: Double = 0.1): ExpTable = {
+  def indexUpdates(scale: Double = 0.1): ExpTable = {
+    val betas = Workloads.Betas
     val sources = Workloads.cellSources(ParamGrid.thetaDefault, scale)
     val pool = pooled(sources); val side = sources.head.grid.side
     val f = ParamGrid.fDefault
@@ -289,13 +286,14 @@ object Experiments {
       "Josie" -> { () => val ix = JosieIndex.build(pool)
         (ix.insert, (id, cs) => ix.update(id, byId(id), cs)) },
     )
+    // Each timed batch writes into its own fresh index, built untimed.
     val rows = betas.flatMap { b =>
       val ins = fresh.take(b); val upd = variant.take(b)
       indexes.map { case (name, build) =>
-        val insert = build()._1
-        val insertMs = Bench.timeMs(ins.foreach { case (id, cs) => insert(id, cs) })
-        val update = build()._2
-        val updateMs = Bench.timeMs(upd.foreach { case (id, cs) => update(id, cs) })
+        val insertMs = Bench.medianMsAfter(build()._1)(insert =>
+          ins.foreach { case (id, cs) => insert(id, cs) })
+        val updateMs = Bench.medianMsAfter(build()._2)(update =>
+          upd.foreach { case (id, cs) => update(id, cs) })
         (Seq(b.toString, name, Bench.fmt(insertMs), Bench.fmt(updateMs)),
          Map(s"$name-insert@$b" -> insertMs, s"$name-update@$b" -> updateMs))
       }

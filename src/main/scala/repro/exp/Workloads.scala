@@ -20,7 +20,12 @@ object Workloads {
     val f: Seq[Int] = Seq(10, 20, 30, 40, 50);       val fDefault = 10
   }
 
+  /** Figs. 21–22 batch sizes β: datasets inserted or updated per batch. */
+  val Betas: Seq[Int] = Seq(100, 150, 200, 250, 300)
+
   val Seed = 42L
+  private val QuerySeed = 7L
+  private val FreshSeed = 11L
 
   /** One materialised source: spec + cell-based datasets under a grid. */
   final case class CellSource(spec: SourceSpec, grid: Grid,
@@ -35,11 +40,10 @@ object Workloads {
   }
 
   /** Sample `q` query cell sets: datasets drawn uniformly from the union
-    * of all sources (deterministic in `seed`).
+    * of all sources (deterministic, so a larger `q` extends a smaller one).
     */
-  def sampleQueries(sources: IndexedSeq[CellSource], q: Int,
-                    seed: Long = 7L): IndexedSeq[Array[Long]] = {
-    val rnd = new Random(seed)
+  def sampleQueries(sources: IndexedSeq[CellSource], q: Int): IndexedSeq[Array[Long]] = {
+    val rnd = new Random(QuerySeed)
     val flat = sources.flatMap(s => s.datasets.map(_._2))
     IndexedSeq.fill(q)(flat(rnd.nextInt(flat.length)))
   }
@@ -47,11 +51,11 @@ object Workloads {
   /** Fresh dataset cell sets for the Fig. 21 insert workload: new ids past
     * the existing range, same generator.
     */
-  def freshDatasets(src: CellSource, n: Int, seed: Long = 11L): IndexedSeq[(Int, Array[Long])] = {
+  def freshDatasets(src: CellSource, n: Int): IndexedSeq[(Int, Array[Long])] = {
     val base = src.spec.nDatasets
     (0 until n).map { i =>
       val id = base + i
-      id -> src.grid.cellSet(SynthSpatial.dataset(src.spec, id, seed).points)
+      id -> src.grid.cellSet(SynthSpatial.dataset(src.spec, id, FreshSeed).points)
     }
   }
 }

@@ -19,9 +19,8 @@ final class CommStats extends Serializable {
   def receiveHits(n: Int): Unit = { messages += 1; bytesReceived += 8L * n + CommStats.HeaderBytes }
   def receiveCells(n: Int): Unit = { messages += 1; bytesReceived += 8L * n + CommStats.HeaderBytes }
 
-  /** Simulated transfer time in milliseconds at `mbps` megabit/s. */
-  def transferMillis(mbps: Double = CommStats.DefaultMbps): Double =
-    total * 8.0 / (mbps * 1e6) * 1e3
+  /** Simulated transfer time in milliseconds over the simulated link. */
+  def transferMillis: Double = total * 8.0 / (CommStats.LinkMbps * 1e6) * 1e3
 
   def +=(o: CommStats): Unit = {
     messages += o.messages; bytesSent += o.bytesSent; bytesReceived += o.bytesReceived
@@ -31,6 +30,6 @@ final class CommStats extends Serializable {
 object CommStats {
   /** Fixed per-message envelope (ids, lengths, request type). */
   val HeaderBytes = 24L
-  /** Simulated link bandwidth for transfer-time figures. */
-  val DefaultMbps = 100.0
+  /** Simulated link bandwidth (megabit/s) for transfer-time figures. */
+  val LinkMbps = 100.0
 }

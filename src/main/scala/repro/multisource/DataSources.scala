@@ -39,7 +39,8 @@ final class SourceNode(val sourceId: Int, val grid: Grid,
     val merged = toLocalCells(mergedLonLat)
     if (merged.isEmpty) return None
     val out = mutable.ArrayBuffer.empty[DatasetNode]
-    CoverageSearch.findConnected(index.root, CellSet.mbr(merged), merged, delta, out)
+    CoverageSearch.findConnected(index.root, CellSet.mbr(merged),
+                                 new CellSet.NeighborIndex(merged, delta), delta, out)
     CoverageSearch.bestGain(out, merged)(d => !excluded(d.id))
       .map(d => (d.id, grid.centres(d.cells)))
   }

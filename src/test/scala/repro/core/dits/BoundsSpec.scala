@@ -24,7 +24,7 @@ class BoundsSpec extends AnyFunSuite {
       val ds = (0 until 30).map(id => id -> randomCells(rnd, 1 + rnd.nextInt(25)))
       val ix = DitsLocal.build(ds, 5)
       val query = randomCells(rnd, 1 + rnd.nextInt(30))
-      DitsLocal.leaves(ix.root).foreach { leaf =>
+      ix.root.leaves.foreach { leaf =>
         val ub = OverlapSearch.upperBound(leaf, query)
         val lb = OverlapSearch.lowerBound(leaf, query)
         assert(lb <= ub)
@@ -40,7 +40,7 @@ class BoundsSpec extends AnyFunSuite {
   test("upper bound is tight when the leaf holds a superset dataset") {
     val q = CellSet.of(Seq(Grid.interleave(1, 1), Grid.interleave(2, 2)))
     val ix = DitsLocal.build(Seq(0 -> q), 4)
-    val leaf = DitsLocal.leaves(ix.root).head
+    val leaf = ix.root.leaves.next()
     assert(OverlapSearch.upperBound(leaf, q) == 2)
     assert(OverlapSearch.lowerBound(leaf, q) == 2) // single child ⇒ lb = ub
   }

@@ -320,9 +320,9 @@ class CoverageSearchSpec extends AnyFunSuite {
       val unknown = scala.collection.mutable.ArrayBuffer.empty[DatasetNode]
       if (merged.nonEmpty) {
         val rect = CellSet.mbr(merged)
-        CoverageSearch.findConnected(ix.root, rect, merged, in.delta, all)
-        CoverageSearch.findConnected(ix.root, rect, new CellSet.NeighborIndex(merged, in.delta),
-                                     in.delta, unknown, known)
+        val tester = new CellSet.NeighborIndex(merged, in.delta)
+        CoverageSearch.findConnected(ix.root, rect, tester, in.delta, all)
+        CoverageSearch.findConnected(ix.root, rect, tester, in.delta, unknown, known)
       }
       val connected = in.ds.collect { case (id, cs) if CellSet.connected(cs, merged, in.delta) => id }.sorted
       val got = all.map(_.id).sorted; val gotUnknown = unknown.map(_.id).sorted

@@ -29,7 +29,7 @@ class DitsLocalSpec extends AnyFunSuite {
     assert(ids.sorted == expect.keys.toSeq.sorted)
     assert(ids.distinct.length == ids.length)
     // Leaf capacity respected; inverted index consistent with children.
-    DitsLocal.leaves(ix.root).foreach { leaf =>
+    ix.root.leaves.foreach { leaf =>
       assert(leaf.children.length <= ix.capacity,
              s"leaf holds ${leaf.children.length} > f=${ix.capacity}")
       DitsLocalSpec.assertFlatIndex(leaf)

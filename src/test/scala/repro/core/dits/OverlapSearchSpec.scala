@@ -128,10 +128,24 @@ class OverlapSearchSpec extends AnyFunSuite {
 
   /** The index's leaves each hold the flat index rebuilt from their
     * children, and `postingEntries` counts every child cell once.
+    * `nodeCount`, `size`, `postingEntries` and `datasets` also equal a
+    * recursive recount of the tree.
     */
   private def checkLeaves(ix: DitsLocal): Unit = {
-    DitsLocal.leaves(ix.root).foreach(DitsLocalSpec.assertFlatIndex)
+    ix.root.leaves.foreach(DitsLocalSpec.assertFlatIndex)
     assert(ix.postingEntries == ix.datasets.map(_.cells.length.toLong).sum)
+    // (nodes, datasets left to right, posting entries) of a subtree
+    def recount(n: TreeNode): (Int, List[DatasetNode], Long) = n match {
+      case l: Leaf => (1, l.children.toList, l.children.map(_.cells.length.toLong).sum)
+      case i: Internal =>
+        val (ln, ld, lp) = recount(i.left); val (rn, rd, rp) = recount(i.right)
+        (1 + ln + rn, ld ++ rd, lp + rp)
+    }
+    val (nodes, ds, postings) = recount(ix.root)
+    assert(ix.nodeCount == nodes, "nodeCount")
+    assert(ix.size == ds.length, "size")
+    assert(ix.postingEntries == postings, "postingEntries")
+    assert(ix.datasets.toList == ds, "datasets")
   }
 
   test("OverlapSearch and the baselines ≡ brute force after random writes (property)") {
@@ -141,6 +155,7 @@ class OverlapSearchSpec extends AnyFunSuite {
       val rtree = RTreeIndex.build(sc.ds)
       val sts3 = Sts3Index.build(sc.ds)
       val josie = JosieIndex.build(sc.ds)
+      checkLeaves(ix)
       val live = mutable.TreeMap(sc.ds: _*)
       def cellsOf(fresh: Array[Long], copyOf: Int): Array[Long] =
         if (copyOf >= 0 && live.nonEmpty) live.valuesIterator.drop(copyOf % live.size).next() else fresh
@@ -197,7 +212,7 @@ class OverlapSearchSpec extends AnyFunSuite {
   test("bounds and verification count query cells at both ends of a leaf's key range") {
     val a = CellSet.of(Seq(Grid.interleave(1, 1), Grid.interleave(2, 2), Grid.interleave(3, 3)))
     val b = CellSet.of(Seq(Grid.interleave(2, 2), Grid.interleave(3, 3), Grid.interleave(4, 4)))
-    val leaf = DitsLocal.leaves(DitsLocal.build(Seq(0 -> a, 1 -> b), 4).root).head
+    val leaf = DitsLocal.build(Seq(0 -> a, 1 -> b), 4).root.leaves.next()
     val q = CellSet.of(Seq(Grid.interleave(0, 0), Grid.interleave(2, 2), Grid.interleave(3, 3),
                            Grid.interleave(4, 4), Grid.interleave(9, 9)))
     assert(OverlapSearch.upperBound(leaf, q) == 3)
