@@ -72,7 +72,7 @@ object CellSet {
     * before `from` must be < v): doubling steps forward, then a binary
     * search over the last step. Returns what `Arrays.binarySearch` does.
     */
-  private def gallop(a: Array[Long], from: Int, v: Long): Int = {
+  private[core] def gallop(a: Array[Long], from: Int, v: Long): Int = {
     var lo = from; var hi = from; var step = 1
     while (hi < a.length && a(hi) < v) { lo = hi + 1; hi = lo + step; step <<= 1 }
     java.util.Arrays.binarySearch(a, lo, math.min(hi + 1, a.length), v)

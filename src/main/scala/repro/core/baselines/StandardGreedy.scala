@@ -21,16 +21,21 @@ import scala.collection.mutable
   */
 object StandardGreedy {
 
-  /** SG — index-free greedy. Each member of R carries a NeighborIndex so
-    * the per-round exhaustive connectivity scan stays exact but avoids
-    * O(|S|·|S'|) pair loops.
+  /** SG — index-free greedy. Each member of R carries its rect and a
+    * NeighborIndex, so the per-round exhaustive connectivity scan stays
+    * exact but avoids O(|S|·|S'|) pair loops: a dataset whose rect lies
+    * farther than δ from a member's rect cannot connect to it (the rect
+    * distance bounds the cell distance from below, as in FindConnectSet)
+    * and is rejected before that member's cells are probed.
     */
   def sg(datasets: Seq[(Int, Array[Long])], query: Array[Long],
          delta: Double, k: Int): CoverageResult = {
     require(k > 0, "k must be positive")
     CellSet.requireDelta(delta)
     var covered = CellSet.of(query)
-    val members = mutable.ArrayBuffer(new CellSet.NeighborIndex(covered, delta))
+    if (covered.isEmpty) return CoverageResult(Nil, 0)
+    val members = mutable.ArrayBuffer(
+      (CellSet.mbr(covered), new CellSet.NeighborIndex(covered, delta)))
     val picked = mutable.ArrayBuffer.empty[Int]
     val pickedIds = mutable.HashSet.empty[Int]
     // Every round re-probes the full collection (this is exactly why SG is
@@ -42,10 +47,11 @@ object StandardGreedy {
       // Directly connected to any member keeps R ∪ {Q} connected
       // (members are themselves connected to Q transitively).
       CoverageSearch.bestGain(nodes, covered)(d =>
-        !pickedIds(d.id) && members.exists(_.connectedToPacked(d.packedXY))) match {
+        !pickedIds(d.id) && members.exists { case (rect, tester) =>
+          d.rect.minDist(rect) <= delta && tester.connectedToPacked(d.packedXY) }) match {
         case Some(d) =>
           picked += d.id; pickedIds += d.id
-          members += new CellSet.NeighborIndex(d.cells, delta)
+          members += ((d.rect, new CellSet.NeighborIndex(d.cells, delta)))
           covered = CellSet.union(covered, d.cells)
         case None => exhausted = true
       }

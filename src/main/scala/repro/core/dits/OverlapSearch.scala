@@ -28,53 +28,35 @@ object OverlapHit {
   * so the top-k heap tightens as early as possible; per-dataset counts come
   * from one pass over the query cells' posting lists.
   *
-  * Every kernel reads the leaf's flat index (`Leaf.keys`/`offs`/`slots`)
-  * and walks only the slice of the sorted query between the leaf's smallest
-  * and largest key, looking each cell up with a binary search that starts
-  * after the previous hit.
+  * One kernel, [[probe]], looks query cells up in a leaf's flat index
+  * (`Leaf.keys`/`offs`/`slots`). It looks up only the query cells inside
+  * the leaf's rect, each by galloping on from the previous position, and
+  * records the key position of each hit. The Lemma 2 bound is the number
+  * of hits; verification reads the posting lists at the recorded
+  * positions and looks nothing up again.
   */
 object OverlapSearch {
 
   /** Lemma 2: upper bound of `|S_Q ∩ S_D|` over all datasets in `leaf`.
     * `query` is sorted and distinct, as everywhere below.
     */
-  def upperBound(leaf: Leaf, query: Array[Long]): Int = {
-    val keys = leaf.keys
-    if (keys.isEmpty) return 0
-    var n = 0; var from = 0
-    var i = sliceFrom(keys, query); val end = sliceUntil(keys, query)
-    while (i < end) {
-      val p = java.util.Arrays.binarySearch(keys, from, keys.length, query(i))
-      if (p >= 0) { n += 1; from = p + 1 } else from = -p - 1
-      i += 1
-    }
-    n
-  }
+  def upperBound(leaf: Leaf, query: Array[Long]): Int = hitsOf(leaf, query).length
 
   /** Lemma 3: lower bound — query cells contained by *every* child of the
     * leaf, so every child dataset has at least this overlap.
     */
   def lowerBound(leaf: Leaf, query: Array[Long]): Int = {
-    val keys = leaf.keys; val offs = leaf.offs
-    val full = leaf.children.length
-    if (keys.isEmpty) return 0
-    var n = 0; var from = 0
-    var i = sliceFrom(keys, query); val end = sliceUntil(keys, query)
-    while (i < end) {
-      val p = java.util.Arrays.binarySearch(keys, from, keys.length, query(i))
-      if (p >= 0) { if (offs(p + 1) - offs(p) == full) n += 1; from = p + 1 }
-      else from = -p - 1
-      i += 1
-    }
-    n
+    val offs = leaf.offs; val full = leaf.children.length
+    hitsOf(leaf, query).count(p => offs(p + 1) - offs(p) == full)
   }
 
   /** Exact per-dataset overlap (id → count, counts > 0) for one leaf via
     * its posting lists.
     */
   def verifyLeaf(leaf: Leaf, query: Array[Long]): collection.Map[Int, Int] = {
+    val hits = hitsOf(leaf, query)
     val counts = new Array[Int](leaf.children.length)
-    countOverlaps(leaf, query, counts)
+    countHits(leaf, hits, 0, hits.length, counts)
     val out = mutable.HashMap.empty[Int, Int]
     var s = 0
     while (s < counts.length) {
@@ -84,34 +66,53 @@ object OverlapSearch {
     out
   }
 
-  /** Adds to `counts(s)` the overlap of the query with child slot `s`. */
-  private def countOverlaps(leaf: Leaf, query: Array[Long], counts: Array[Int]): Unit = {
-    val keys = leaf.keys; val offs = leaf.offs; val slots = leaf.slots
-    if (keys.isEmpty) return
-    var from = 0
-    var i = sliceFrom(keys, query); val end = sliceUntil(keys, query)
-    while (i < end) {
-      val p = java.util.Arrays.binarySearch(keys, from, keys.length, query(i))
-      if (p >= 0) {
-        var j = offs(p)
-        while (j < offs(p + 1)) { counts(slots(j)) += 1; j += 1 }
-        from = p + 1
-      } else from = -p - 1
+  /** The key positions in `leaf` of the query cells it holds, ascending. */
+  private def hitsOf(leaf: Leaf, query: Array[Long]): Array[Int] = {
+    val hits = new Array[Int](math.min(query.length, leaf.keys.length))
+    java.util.Arrays.copyOf(hits, probe(leaf, query, CellSet.packXY(query), hits, 0))
+  }
+
+  /** Writes to `hits` from `at` the position in `leaf.keys` of each query
+    * cell found there, ascending, and returns how many it wrote; `hits`
+    * must have room for `min(query.length, keys.length)` more. `xy` is
+    * `CellSet.packXY(query)`. Only a cell inside the leaf's half-open rect
+    * `[minX, maxX) × [minY, maxY)` is looked up: every key lies there,
+    * because the rect contains each child's MBR.
+    */
+  private def probe(leaf: Leaf, query: Array[Long], xy: Array[Long], hits: Array[Int], at: Int): Int = {
+    val keys = leaf.keys; val r = leaf.rect
+    val lx = r.minX.toInt; val hx = r.maxX.toInt; val ly = r.minY.toInt; val hy = r.maxY.toInt
+    var n = at; var from = 0; var i = 0
+    while (i < query.length && from < keys.length) {
+      val x = (xy(i) >> 32).toInt; val y = xy(i).toInt
+      if (x >= lx && x < hx && y >= ly && y < hy) {
+        val p = CellSet.gallop(keys, from, query(i))
+        if (p >= 0) { hits(n) = p; n += 1; from = p + 1 } else from = -p - 1
+      }
       i += 1
+    }
+    n - at
+  }
+
+  /** Adds to `counts(s)` one for each hit in `hits(from until until)`
+    * that child slot `s` holds.
+    */
+  private def countHits(leaf: Leaf, hits: Array[Int], from: Int, until: Int, counts: Array[Int]): Unit = {
+    val offs = leaf.offs; val slots = leaf.slots
+    var h = from
+    while (h < until) {
+      var j = offs(hits(h))
+      while (j < offs(hits(h) + 1)) { counts(slots(j)) += 1; j += 1 }
+      h += 1
     }
   }
 
-  /** First query position whose cell is ≥ `keys.head` (`keys` non-empty). */
-  private def sliceFrom(keys: Array[Long], query: Array[Long]): Int = {
-    val p = java.util.Arrays.binarySearch(query, keys(0))
-    if (p >= 0) p else -p - 1
-  }
-
-  /** First query position whose cell is > `keys.last` (`keys` non-empty). */
-  private def sliceUntil(keys: Array[Long], query: Array[Long]): Int = {
-    val p = java.util.Arrays.binarySearch(query, keys(keys.length - 1))
-    if (p >= 0) p + 1 else -p - 1
-  }
+  /** Initial buffer sizes of [[search]]: a paper-scale query has 211.6
+    * candidate leaves and 3,071 Lemma 2 hits on average, so most queries
+    * never grow them.
+    */
+  private final val Candidates = 256
+  private final val Hits = 4096
 
   /** Top-k datasets by exact overlap with `query` (sorted cell IDs).
     * Datasets with overlap 0 are never returned (their MBRs are pruned).
@@ -121,20 +122,30 @@ object OverlapSearch {
     require(k > 0, "k must be positive")
     if (queryCells.isEmpty) return Seq.empty
     val qRect = CellSet.mbr(queryCells)
+    val xy = CellSet.packXY(queryCells)
 
     // ---- Filter: collect candidate leaves with bounds (BranchAndBound). --
-    // Candidate c is `leaves(c)`; `order(c)` packs (Int.MaxValue − ub, c),
-    // so sorting it gives descending ub, ties in descent order.
-    val leaves = mutable.ArrayBuffer.empty[Leaf]
-    var order = new Array[Long](16)
+    // Candidate c is `leaves(c)`, its hits are `hits(starts(c) until
+    // starts(c) + ub)`, and `order(c)` packs (Int.MaxValue − ub, c), so
+    // sorting it gives descending ub, ties in descent order.
+    val leaves = new mutable.ArrayBuffer[Leaf](Candidates)
+    var starts = new Array[Int](Candidates)
+    var order = new Array[Long](Candidates)
+    var hits = new Array[Int](Hits)
+    var nh = 0
     def descend(n: TreeNode): Unit = n match {
       case l: Leaf =>
         if (l.rect.intersects(qRect)) {
-          val ub = upperBound(l, queryCells)
+          val room = math.min(queryCells.length, l.keys.length)
+          if (hits.length - nh < room) hits = java.util.Arrays.copyOf(hits, math.max(2 * hits.length, nh + room))
+          val ub = probe(l, queryCells, xy, hits, nh)
           if (ub > 0) {
-            if (leaves.length == order.length) order = java.util.Arrays.copyOf(order, 2 * order.length)
-            order(leaves.length) = ((Int.MaxValue - ub).toLong << 32) | leaves.length
-            leaves += l
+            val c = leaves.length
+            if (c == order.length) {
+              starts = java.util.Arrays.copyOf(starts, 2 * c); order = java.util.Arrays.copyOf(order, 2 * c)
+            }
+            starts(c) = nh; order(c) = ((Int.MaxValue - ub).toLong << 32) | c
+            leaves += l; nh += ub
           }
         }
       case i: Internal =>
@@ -150,10 +161,11 @@ object OverlapSearch {
     while (c < leaves.length) {
       val ub = Int.MaxValue - (order(c) >>> 32).toInt
       if (!(heap.full && ub < heap.kth)) { // batch prune (Alg. 2 line 19)
-        val leaf = leaves(order(c).toInt)
+        val cand = order(c).toInt
+        val leaf = leaves(cand)
         val n = leaf.children.length
         if (counts.length < n) counts = new Array[Int](n)
-        countOverlaps(leaf, queryCells, counts)
+        countHits(leaf, hits, starts(cand), starts(cand) + ub, counts)
         var s = 0
         while (s < n) {
           if (counts(s) > 0) { heap.offer(counts(s), leaf.children(s).id); counts(s) = 0 }

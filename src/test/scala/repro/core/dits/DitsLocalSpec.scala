@@ -33,6 +33,7 @@ class DitsLocalSpec extends AnyFunSuite {
       assert(leaf.children.length <= ix.capacity,
              s"leaf holds ${leaf.children.length} > f=${ix.capacity}")
       DitsLocalSpec.assertFlatIndex(leaf)
+      DitsLocalSpec.assertKeysInRect(leaf)
     }
     assert(ix.postingEntries == ix.datasets.map(_.cells.length.toLong).sum)
     // MBR containment along parent pointers and cell sets match.
@@ -188,6 +189,18 @@ class DitsLocalSpec extends AnyFunSuite {
 
 object DitsLocalSpec {
   import org.scalatest.Assertions._
+
+  /** Every key's cell lies in the leaf's half-open rect
+    * `[minX, maxX) × [minY, maxY)`, the region OverlapSearch looks query
+    * cells up in.
+    */
+  def assertKeysInRect(leaf: Leaf): Unit = {
+    val r = leaf.rect
+    leaf.keys.foreach { c =>
+      val x = Grid.cellX(c); val y = Grid.cellY(c)
+      assert(x >= r.minX && x < r.maxX && y >= r.minY && y < r.maxY, s"key ($x, $y) outside leaf rect $r")
+    }
+  }
 
   /** The leaf's flat inverted index equals the one rebuilt from its
     * children: sorted distinct keys, and for each key the ascending slots

@@ -2,7 +2,7 @@ package repro.core.dits
 
 import org.scalacheck.{Gen, Prop, Test => PropTest}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{CellSet, Grid, SynthSpatial}
+import repro.core.{CellSet, Grid, MBR, SynthSpatial}
 import repro.core.baselines.{BruteForce, JosieIndex, QuadTreeIndex, RTreeIndex, Sts3Index}
 import scala.collection.mutable
 import scala.util.Random
@@ -132,7 +132,7 @@ class OverlapSearchSpec extends AnyFunSuite {
     * recursive recount of the tree.
     */
   private def checkLeaves(ix: DitsLocal): Unit = {
-    ix.root.leaves.foreach(DitsLocalSpec.assertFlatIndex)
+    ix.root.leaves.foreach { l => DitsLocalSpec.assertFlatIndex(l); DitsLocalSpec.assertKeysInRect(l) }
     assert(ix.postingEntries == ix.datasets.map(_.cells.length.toLong).sum)
     // (nodes, datasets left to right, posting entries) of a subtree
     def recount(n: TreeNode): (Int, List[DatasetNode], Long) = n match {
@@ -218,6 +218,31 @@ class OverlapSearchSpec extends AnyFunSuite {
     assert(OverlapSearch.upperBound(leaf, q) == 3)
     assert(OverlapSearch.lowerBound(leaf, q) == 2)
     assert(OverlapSearch.verifyLeaf(leaf, q) == Map(0 -> 2, 1 -> 3))
+  }
+
+  test("query hits on a leaf's min and max row and column count, after a delete shrinks its rect and an insert grows it") {
+    def at(xys: (Int, Int)*): Array[Long] = CellSet.of(xys.map { case (x, y) => Grid.interleave(x, y) })
+    // Dataset 0 has one cell on each side of its rect [2, 6) × [2, 6):
+    // the min column, the max column, the min row and the max row.
+    val sides = at((2, 4), (5, 3), (3, 2), (4, 5))
+    val live = mutable.TreeMap(0 -> sides, 1 -> at((0, 0), (9, 9)), 2 -> at((3, 3)))
+    val ix = DitsLocal.build(live.toSeq, 4)
+    def check(rect: MBR, q: Array[Long], ub: Int, counts: Map[Int, Int]): Unit = {
+      val leaf = ix.root.leaves.next()
+      assert(leaf.rect == rect)
+      DitsLocalSpec.assertKeysInRect(leaf)
+      assert(OverlapSearch.upperBound(leaf, q) == ub)
+      assert(OverlapSearch.verifyLeaf(leaf, q) == counts)
+      for (k <- 1 to 4) assert(OverlapSearch.search(ix, q, k) == BruteForce.overlapTopK(live, q, k), s"k=$k")
+    }
+    // Cells just outside the shrunk rect, on all four sides.
+    val around = at((1, 3), (6, 4), (4, 1), (3, 6))
+    ix.delete(1); live -= 1
+    check(MBR(2, 2, 6, 6), CellSet.union(sides, around), 4, Map(0 -> 4))
+    // The new dataset sets the min and max row and column of the grown rect.
+    val corners = at((1, 7), (8, 0))
+    ix.insert(DatasetNode(3, corners)); live(3) = corners
+    check(MBR(1, 0, 9, 8), CellSet.union(CellSet.union(sides, around), corners), 6, Map(0 -> 4, 3 -> 2))
   }
 }
 
