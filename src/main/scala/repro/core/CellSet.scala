@@ -78,9 +78,10 @@ object CellSet {
     java.util.Arrays.binarySearch(a, lo, math.min(hi + 1, a.length), v)
   }
 
-  /** Sorted union of two sorted arrays — used by the CJSP merge step.
-    * When one side is more than [[GallopRatio]] times longer, the runs of
-    * the longer side between the cells of the shorter one are block-copied.
+  /** Sorted union of two sorted arrays, for `BruteForce`, the tests'
+    * oracles and perfbench's replays ([[Cover.add]] else). When one side is
+    * more than [[GallopRatio]] times longer, the runs of the longer side
+    * between the cells of the shorter one are block-copied.
     */
   def union(a: Array[Long], b: Array[Long]): Array[Long] =
     if (a.length / GallopRatio > b.length) gallopUnion(b, a)
@@ -118,11 +119,73 @@ object CellSet {
     out
   }
 
-  /** Marginal gain `g(S_D, R) = |S_D ∪ R| − |R|` (Eq. 3) — the number of
-    * cells of `d` not already covered.
+  /** Marginal gain `g(S_D, R) = |S_D ∪ R| − |R|` (Eq. 3) over a sorted R,
+    * for the tests' oracles and perfbench's replays ([[Cover.gain]] else).
     */
   def marginalGain(d: Array[Long], covered: Array[Long]): Int =
     d.length - intersectionSize(d, covered)
+
+  /** The covered cells R of one greedy CJSP run, a two-level bitmap in the
+    * spirit of Roaring (Chambi, Lemire, Kaser & Godin, SPE 2016): cell `c`
+    * is bit `c & 63` of the word of tile `c >>> 6`, an 8×8 block of cells
+    * in z-order. Tiles sit in an open-addressing table of primitive keys
+    * with a parallel word array (Fibonacci hash, linear probing, load
+    * ≤ 1/2). In a sorted input the cells of one tile are adjacent, so each
+    * run of them is ORed into one mask `m` and costs one probe, which adds
+    * `bitCount(m & ~word)` to the gain; a pick sets bits and copies nothing.
+    */
+  final class Cover(cells: Array[Long]) {
+    private var keys = Array.fill(16)(-1L) // −1 marks an empty slot: cell IDs are ≥ 0
+    private var words = new Array[Long](16)
+    private var shift = 60 // 64 − log2(keys.length)
+    private var tiles = 0; private var covered = 0
+    add(cells)
+
+    /** `|R|`. */
+    def size: Int = covered
+
+    /** Marginal gain `|d \ R|` (Eq. 3) of a sorted, distinct `d`. */
+    def gain(d: Array[Long]): Int = scan(d, write = false)
+
+    /** R := R ∪ d, for a sorted, distinct `d`. */
+    def add(d: Array[Long]): Unit = covered += scan(d, write = true)
+
+    /** `|d \ R|`; with `write`, the new cells are also set in R. */
+    private def scan(d: Array[Long], write: Boolean): Int = {
+      var g = 0; var i = 0
+      while (i < d.length) {
+        val tile = d(i) >>> 6; var m = 0L
+        while (i < d.length && (d(i) >>> 6) == tile) { m |= 1L << (d(i) & 63); i += 1 }
+        var s = slot(tile)
+        val fresh = m & ~words(s) // an empty slot's word is 0
+        g += java.lang.Long.bitCount(fresh)
+        if (write && fresh != 0) {
+          if (keys(s) < 0) {
+            if (2 * (tiles + 1) > keys.length) { grow(); s = slot(tile) }
+            keys(s) = tile; tiles += 1
+          }
+          words(s) |= fresh
+        }
+      }
+      g
+    }
+
+    /** Slot of `tile`, or the empty slot where it would go. */
+    private def slot(tile: Long): Int = {
+      var s = ((tile * 0x9E3779B97F4A7C15L) >>> shift).toInt
+      while (keys(s) != tile && keys(s) >= 0) s = (s + 1) & (keys.length - 1)
+      s
+    }
+
+    /** Doubles the table and re-inserts every tile with its word. */
+    private def grow(): Unit = {
+      val oldKeys = keys; val oldWords = words
+      keys = Array.fill(2 * oldKeys.length)(-1L); words = new Array[Long](keys.length); shift -= 1
+      for (j <- oldKeys.indices if oldKeys(j) >= 0) {
+        val s = slot(oldKeys(j)); keys(s) = oldKeys(j); words(s) = oldWords(j)
+      }
+    }
+  }
 
   /** Cell-based dataset distance (Def. 6): the minimum Euclidean distance
     * between the grid coordinates of any pair of cells. Early-exits at 0

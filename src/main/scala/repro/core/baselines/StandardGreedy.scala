@@ -1,6 +1,6 @@
 package repro.core.baselines
 
-import repro.core.CellSet
+import repro.core.{CellSet, MBR}
 import repro.core.dits.{CoverageResult, CoverageSearch, DatasetNode, DitsLocal}
 import scala.collection.mutable
 
@@ -17,7 +17,7 @@ import scala.collection.mutable
   * — one tree search per member of R, without CoverageSearch's merge
   * strategy.
   *
-  * Both pick with [[CoverageSearch.bestGain]]: gain ties keep the smaller id.
+  * Both pick with [[CoverageSearch.bestGain]] against R in a [[CellSet.Cover]].
   */
 object StandardGreedy {
 
@@ -30,63 +30,54 @@ object StandardGreedy {
     */
   def sg(datasets: Seq[(Int, Array[Long])], query: Array[Long],
          delta: Double, k: Int): CoverageResult = {
-    require(k > 0, "k must be positive")
-    CellSet.requireDelta(delta)
-    var covered = CellSet.of(query)
-    if (covered.isEmpty) return CoverageResult(Nil, 0)
-    val members = mutable.ArrayBuffer(
-      (CellSet.mbr(covered), new CellSet.NeighborIndex(covered, delta)))
-    val picked = mutable.ArrayBuffer.empty[Int]
-    val pickedIds = mutable.HashSet.empty[Int]
     // Every round re-probes the full collection (this is exactly why SG is
     // slow), but each dataset's grid coordinates are decoded once, in its node.
-    val nodes = datasets.map { case (id, cells) => DatasetNode(id, cells) }
-
-    var exhausted = false
-    while (picked.length < k && !exhausted) {
+    lazy val nodes = datasets.map { case (id, cells) => DatasetNode(id, cells) }
+    greedy(query, delta, k) { (members, pickedIds, covered) =>
       // Directly connected to any member keeps R ∪ {Q} connected
       // (members are themselves connected to Q transitively).
       CoverageSearch.bestGain(nodes, covered)(d =>
         !pickedIds(d.id) && members.exists { case (rect, tester) =>
-          d.rect.minDist(rect) <= delta && tester.connectedToPacked(d.packedXY) }) match {
-        case Some(d) =>
-          picked += d.id; pickedIds += d.id
-          members += ((d.rect, new CellSet.NeighborIndex(d.cells, delta)))
-          covered = CellSet.union(covered, d.cells)
-        case None => exhausted = true
-      }
+          d.rect.minDist(rect) <= delta && tester.connectedToPacked(d.packedXY) })
     }
-    CoverageResult(picked.toSeq, covered.length)
   }
 
   /** SG+DITS — greedy with index-accelerated connectivity, one
     * FindConnectSet per member of R per round (no merge strategy).
     */
-  def sgDits(index: DitsLocal, query: Array[Long], delta: Double, k: Int): CoverageResult = {
-    require(k > 0, "k must be positive")
-    CellSet.requireDelta(delta)
-    var covered = CellSet.of(query)
-    if (covered.isEmpty) return CoverageResult(Nil, 0)
-    // Members tracked as (rect, tester) for the tree search per member.
-    val members = mutable.ArrayBuffer(
-      (CellSet.mbr(covered), new CellSet.NeighborIndex(covered, delta)))
-    val picked = mutable.ArrayBuffer.empty[Int]
-    val pickedIds = mutable.HashSet.empty[Int]
-
-    var exhausted = false
-    while (picked.length < k && !exhausted) {
+  def sgDits(index: DitsLocal, query: Array[Long], delta: Double, k: Int): CoverageResult =
+    greedy(query, delta, k) { (members, pickedIds, covered) =>
       val cand = mutable.ArrayBuffer.empty[DatasetNode]
       members.foreach { case (rect, tester) =>
         CoverageSearch.findConnected(index.root, rect, tester, delta, cand, pickedIds)
       }
-      CoverageSearch.bestGain(cand.distinct, covered)(_ => true) match {
+      CoverageSearch.bestGain(cand.distinct, covered)(_ => true)
+    }
+
+  /** The greedy loop of both: `pick` gets the members of R as (rect,
+    * tester), the picked ids and R, and returns the round's pick or None.
+    */
+  private def greedy(query: Array[Long], delta: Double, k: Int)
+                    (pick: (Iterable[(MBR, CellSet.NeighborIndex)], Int => Boolean, CellSet.Cover) =>
+                      Option[DatasetNode]): CoverageResult = {
+    require(k > 0, "k must be positive")
+    CellSet.requireDelta(delta)
+    val q = CellSet.of(query)
+    if (q.isEmpty) return CoverageResult(Nil, 0)
+    val covered = new CellSet.Cover(q)
+    val members = mutable.ArrayBuffer((CellSet.mbr(q), new CellSet.NeighborIndex(q, delta)))
+    val picked = mutable.ArrayBuffer.empty[Int]
+    val pickedIds = mutable.HashSet.empty[Int]
+    var exhausted = false
+    while (picked.length < k && !exhausted) {
+      pick(members, pickedIds, covered) match {
         case Some(d) =>
           picked += d.id; pickedIds += d.id
           members += ((d.rect, new CellSet.NeighborIndex(d.cells, delta)))
-          covered = CellSet.union(covered, d.cells)
+          covered.add(d.cells)
         case None => exhausted = true
       }
     }
-    CoverageResult(picked.toSeq, covered.length)
+    CoverageResult(picked.toSeq, covered.size)
   }
 }

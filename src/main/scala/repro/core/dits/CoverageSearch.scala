@@ -41,6 +41,8 @@ final case class CoverageResult(picked: Seq[Int], coverage: Int)
   * true gain that is at most equal and loses the tie.) The picks are
   * thus exactly those of the per-round greedy (SG), the same argument
   * that lets SG skip a dataset whose size is below the best gain so far.
+  * R is a [[CellSet.Cover]], as in SG: a gain costs one probe per 8×8
+  * tile of `S_D`, and a pick sets bits in place instead of copying R.
   *
   * Because every pick is directly connected to the *merged* set, the
   * result is directly-or-indirectly connected to the query (Defs. 7–9).
@@ -88,19 +90,19 @@ object CoverageSearch {
   }
 
   /** One greedy step: the admitted candidate of maximum marginal gain
-    * `|S_D \ covered|`, ties to the smaller id whatever the order of
-    * `cands`. A dataset with fewer cells than the best gain so far (or as
+    * `|S_D \ R|` (R = `covered`), ties to the smaller id whatever the order
+    * of `cands`. A dataset with fewer cells than the best gain so far (or as
     * many and a larger id) cannot win, so it is skipped before `admit` and
     * its gain are evaluated. SG, SG+DITS and a source's CJSP round share it.
     */
-  def bestGain(cands: Iterable[DatasetNode], covered: Array[Long])
+  def bestGain(cands: Iterable[DatasetNode], covered: CellSet.Cover)
               (admit: DatasetNode => Boolean): Option[DatasetNode] = {
     var best: DatasetNode = null
     var tau = -1
     def beats(g: Int, id: Int): Boolean = g > tau || (g == tau && id < best.id)
     cands.foreach { d =>
       if (beats(d.cells.length, d.id) && admit(d)) {
-        val g = CellSet.marginalGain(d.cells, covered)
+        val g = covered.gain(d.cells)
         if (beats(g, d.id)) { tau = g; best = d }
       }
     }
@@ -122,8 +124,9 @@ object CoverageSearch {
   def search(index: DitsLocal, queryCells: Array[Long], delta: Double, k: Int): CoverageResult = {
     require(k > 0, "k must be positive")
     CellSet.requireDelta(delta)
-    var covered = CellSet.of(queryCells)
-    if (covered.isEmpty) return CoverageResult(Nil, 0)
+    val query = CellSet.of(queryCells)
+    if (query.isEmpty) return CoverageResult(Nil, 0)
+    val covered = new CellSet.Cover(query)
     val picked = mutable.ArrayBuffer.empty[Int]
     val pooled = new IntSet
     val heap = mutable.PriorityQueue.empty[Entry](byGainThenId)
@@ -139,19 +142,19 @@ object CoverageSearch {
       }
     }
 
-    grow(CellSet.mbr(covered), covered)
+    grow(CellSet.mbr(query), query)
     while (picked.length < k && heap.nonEmpty) {
       val e = heap.dequeue()
       if (e.round < picked.length) { // stale: re-evaluate against R
-        e.gain = CellSet.marginalGain(e.d.cells, covered); e.round = picked.length
+        e.gain = covered.gain(e.d.cells); e.round = picked.length
         heap.enqueue(e)
       } else {
         picked += e.d.id
-        covered = CellSet.union(covered, e.d.cells)
+        covered.add(e.d.cells)
         if (picked.length < k) grow(e.d.rect, e.d.cells)
       }
     }
-    CoverageResult(picked.toSeq, covered.length)
+    CoverageResult(picked.toSeq, covered.size)
   }
 
   /** A set of ints in an open-addressing table of longs (linear probing,

@@ -110,10 +110,9 @@ object Experiments {
   private def sweep(title: String, param: String, values: Seq[String],
                     algs: Seq[String],
                     run: String => Map[String, Double]): ExpTable = {
+    values.foreach(run) // untimed pass over the whole sweep, so no timed row finishes JIT warm-up
     val results = values.map(v => v -> run(v))
-    val rows = results.map { case (v, m) =>
-      v +: algs.map(a => Bench.fmt(m(a)))
-    }
+    val rows = results.map { case (v, m) => v +: algs.map(a => Bench.fmt(m(a))) }
     val metrics = results.flatMap { case (v, m) => m.map { case (a, t) => s"$a@$v" -> t } }
     ExpTable(title, param +: algs, rows, metrics.toMap)
   }

@@ -95,7 +95,7 @@ final class DataCenter(link: SourceLink) {
     // Covered set tracked under a reference grid (finest of the sources)
     // so coverage counting is well-defined across sources.
     val refGrid = link.summaries.map(_.grid).maxBy(_.theta)
-    var covered = refGrid.cellSetOf(queryLonLat)
+    val covered = new CellSet.Cover(refGrid.cellSetOf(queryLonLat))
     var mergedPts = queryLonLat.distinct
     val picked = mutable.ArrayBuffer.empty[(Int, Int)]
     val excluded = mutable.HashMap.empty[Int, Set[Int]].withDefaultValue(Set.empty)
@@ -118,15 +118,15 @@ final class DataCenter(link: SourceLink) {
         // Re-rank by gain under the reference grid for fairness, ties to
         // the smaller (source, id).
         val (s, id, cells, ref) = found.maxBy { case (s, id, _, ref) =>
-          (CellSet.marginalGain(ref, covered), -s, -id)
+          (covered.gain(ref), -s, -id)
         }
         picked += ((s, id))
         excluded(s) += id
-        covered = CellSet.union(covered, ref)
+        covered.add(ref)
         mergedPts = (mergedPts ++ cells).distinct
       }
     }
-    (MultiCoverage(picked.toSeq, covered.length), comm)
+    (MultiCoverage(picked.toSeq, covered.size), comm)
   }
 
   /** One round's requests: `pts` for every source under Broadcast, else

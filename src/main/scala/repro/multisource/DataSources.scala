@@ -41,7 +41,7 @@ final class SourceNode(val sourceId: Int, val grid: Grid,
     val out = mutable.ArrayBuffer.empty[DatasetNode]
     CoverageSearch.findConnected(index.root, CellSet.mbr(merged),
                                  new CellSet.NeighborIndex(merged, delta), delta, out)
-    CoverageSearch.bestGain(out, merged)(d => !excluded(d.id))
+    CoverageSearch.bestGain(out, new CellSet.Cover(merged))(d => !excluded(d.id))
       .map(d => (d.id, grid.centres(d.cells)))
   }
 }

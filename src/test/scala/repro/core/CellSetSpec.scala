@@ -257,4 +257,51 @@ class CellSetSpec extends AnyFunSuite {
         s"|a|=${a.length} |b|=${b.length}"
     })
   }
+
+  /** Sorted cell sets for [[CellSet.Cover]]: cells on and next to tile
+    * edges (63/64, 127/128, 4095/4096 and the last tiles of θ = 16, whose
+    * z-order IDs reach 2^32 − 1), dense cells in the first 64 tiles, cells
+    * anywhere below 2^32 (one tile each, so hundreds of tiles grow the
+    * table several times), runs that fill whole tiles, and empty sets.
+    */
+  private val coverCells: Gen[Array[Long]] = {
+    val top = (1L << 32) - 1
+    val edge = Gen.oneOf(0L, 63L, 64L, 127L, 128L, 4095L, 4096L, top - 64, top - 63, top)
+    val nearEdge = Gen.zip(edge, Gen.choose(-2L, 2L)).map { case (e, d) => math.min(top, math.max(0L, e + d)) }
+    val cell = Gen.frequency(2 -> edge, 2 -> nearEdge, 3 -> Gen.choose(0L, 4095L), 2 -> Gen.choose(0L, top))
+    val scattered = Gen.frequency(1 -> Gen.const(0), 4 -> Gen.choose(1, 20), 2 -> Gen.choose(21, 400))
+      .flatMap(Gen.listOfN(_, cell))
+    val run = for (from <- Gen.oneOf(cell, Gen.choose(0L, 200L)); len <- Gen.choose(1, 200))
+      yield (from to math.min(top, from + len - 1)).toList
+    Gen.frequency(4 -> scattered, 1 -> run).map(CellSet.of(_))
+  }
+
+  test("Cover ≡ a Scala Set[Long] over random add/gain sequences (property)") {
+    val ops = Gen.choose(0, 12).flatMap(Gen.listOfN(_, Gen.zip(Gen.oneOf(true, false), coverCells)))
+    check(Prop.forAll(coverCells, ops) { (init, ops) =>
+      val cover = new CellSet.Cover(init)
+      var ref = init.toSet
+      // Each op checks its gain against the set; an add then checks that
+      // the same cells gain 0 and that size is |∪|.
+      val bad = (cover.size == init.length) +: ops.map { case (isAdd, d) =>
+        val ok = cover.gain(d) == d.count(c => !ref(c))
+        if (isAdd) { cover.add(d); ref ++= d; ok && cover.gain(d) == 0 && cover.size == ref.size } else ok
+      } :+ (cover.gain(init) == 0 && cover.gain(Array.emptyLongArray) == 0 && cover.size == ref.size)
+      Prop(!bad.contains(false)) :|
+        s"|init|=${init.length} ops=${ops.map { case (a, d) => (a, d.length) }} checks=$bad"
+    })
+  }
+
+  test("Cover keeps every tile through table growth: one cell per tile, then the tiles filled") {
+    val tiles = 5000L
+    val one = Array.tabulate(tiles.toInt)(t => (t.toLong << 6) | (t % 64))
+    val cover = new CellSet.Cover(Array.emptyLongArray)
+    assert(cover.size == 0 && cover.gain(one) == tiles)
+    one.grouped(7).foreach(cover.add)
+    assert(cover.size == tiles && cover.gain(one) == 0)
+    val full = Array.tabulate(tiles.toInt * 64)(_.toLong)
+    assert(cover.gain(full) == 63 * tiles)
+    cover.add(full)
+    assert(cover.size == 64 * tiles && cover.gain(full) == 0 && cover.gain(Array(64 * tiles)) == 1)
+  }
 }

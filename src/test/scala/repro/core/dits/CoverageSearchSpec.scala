@@ -209,7 +209,7 @@ class CoverageSearchSpec extends AnyFunSuite {
     } yield (in, covered, admitted.toSet, order)
     val prop = Prop.forAllNoShrink(cases) { case (in, covered, admitted, order) =>
       val cands = new Random(order).shuffle(in.ds.map { case (id, cs) => DatasetNode(id, cs) })
-      val got = CoverageSearch.bestGain(cands, covered)(d => admitted(d.id)).map(_.id)
+      val got = CoverageSearch.bestGain(cands, new CellSet.Cover(covered))(d => admitted(d.id)).map(_.id)
       val exp = in.ds.filter(d => admitted(d._1)).map { case (id, cs) => (CellSet.marginalGain(cs, covered), -id) }
         .maxOption.map(-_._2)
       Prop(got == exp) :| s"got=$got brute=$exp"
@@ -300,6 +300,93 @@ class CoverageSearchSpec extends AnyFunSuite {
       Prop(a == b) :| s"CoverageSearch=$a SG=$b"
     }
     val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(1000), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  /** The greedy of Section VII-D written with nothing the engines share
+    * but `CellSet.connected`: R is a Scala set, a dataset is admitted once
+    * it is connected to the query or to a pick, and each round takes the
+    * admitted, unpicked dataset of largest `|S_D \ R|`, ties to the
+    * smaller id. SG, SG+DITS and CoverageSearch all keep R in a
+    * `CellSet.Cover`, so this is the oracle of that kernel.
+    */
+  private def referenceGreedy(in: Instance): CoverageResult = {
+    if (in.query.isEmpty) return CoverageResult(Nil, 0)
+    var covered = in.query.toSet
+    var connected = Set.empty[Int]
+    def admit(member: Array[Long]): Unit =
+      connected ++= in.ds.collect { case (id, cs) if CellSet.connected(cs, member, in.delta) => id }
+    admit(in.query)
+    val picked = scala.collection.mutable.ArrayBuffer.empty[Int]
+    var open = true
+    while (open && picked.length < in.k) {
+      val cands = in.ds.filter { case (id, _) => connected(id) && !picked.contains(id) }
+      if (cands.isEmpty) open = false
+      else {
+        val (id, cs) = cands.minBy { case (id, cs) => (-cs.count(c => !covered(c)), id) }
+        picked += id; covered ++= cs; admit(cs)
+      }
+    }
+    CoverageResult(picked.toSeq, covered.size)
+  }
+
+  for ((name, gen) <- Seq("instances" -> instances, "seededWorlds" -> seededWorlds)) {
+    test(s"SG ≡ a reference greedy over Scala sets on $name (property)") {
+      val prop = Prop.forAll(gen) { in =>
+        val (got, exp) = (StandardGreedy.sg(in.ds, in.query, in.delta, in.k), referenceGreedy(in))
+        Prop(got == exp) :| s"SG=$got reference=$exp"
+      }
+      val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(1000), prop)
+      assert(res.passed, res.status.toString)
+    }
+  }
+
+  /** Worlds that span at least 64 tiles of 8×8 cells (so R's table can
+    * grow several times): 2^θ × 2^θ grids with θ ∈ {6, 8, 10}, each dataset
+    * and the query a stroke of 8–80 cells that steps up to 3 cells at a
+    * time and starts anywhere or on a cell of an earlier stroke (so chains
+    * connect at small δ), copies under other ids, shuffled ids.
+    */
+  private val wideWorlds: Gen[Instance] = (for {
+    theta <- Gen.oneOf(6, 8, 10)
+    top = (1 << theta) - 1
+    clamp = (v: Int) => math.min(top, math.max(0, v))
+    n <- Gen.choose(6, 14)
+    ids <- Gen.pick(n, 0 until 40)
+    idOrder <- Gen.long
+    strokes <- Gen.listOfN(n + 1, for {
+      len <- Gen.choose(8, 80)
+      steps <- Gen.listOfN(len, Gen.zip(Gen.choose(-3, 3), Gen.choose(-3, 3)))
+      anchor <- Gen.choose(-1, n)
+      start <- Gen.zip(Gen.choose(0, top), Gen.choose(0, top))
+    } yield (anchor, start, steps))
+    copyOf <- Gen.listOfN(n, Gen.frequency(4 -> Gen.const(-1), 1 -> Gen.choose(0, n - 1)))
+    delta <- Gen.oneOf(0.0, 1.0, 2.0, 5.0, 1e9)
+    k <- Gen.oneOf(1, n / 2, n, n + 3)
+    capacity <- Gen.oneOf(2, 3, 5)
+  } yield {
+    // A stroke starts on a cell of stroke `anchor` when that one is earlier.
+    val walks = scala.collection.mutable.ArrayBuffer.empty[Seq[(Int, Int)]]
+    strokes.foreach { case (anchor, start, steps) =>
+      val from = if (anchor >= 0 && anchor < walks.length) walks(anchor)(steps.length % walks(anchor).length) else start
+      walks += steps.scanLeft(from) { case ((x, y), (dx, dy)) => (clamp(x + dx), clamp(y + dy)) }
+    }
+    val cells = walks.map(w => CellSet.of(w.map { case (x, y) => Grid.interleave(x, y) })).toArray
+    for (i <- 1 to n if copyOf(i - 1) >= 0 && copyOf(i - 1) < i - 1) cells(i) = cells(copyOf(i - 1) + 1)
+    Instance(new Random(idOrder).shuffle(ids.toIndexedSeq).zip(cells.tail), cells.head, delta, k, capacity)
+  }).suchThat(in => (in.query +: in.ds.map(_._2)).flatMap(_.map(_ >>> 6)).distinct.length >= 64)
+
+  test("SG ≡ SG+DITS ≡ CoverageSearch ≡ a reference greedy on worlds of 64+ tiles (property)") {
+    val prop = Prop.forAll(wideWorlds) { in =>
+      val ix = DitsLocal.build(in.ds, in.capacity)
+      val exp = referenceGreedy(in)
+      val (sg, sgDits) = (StandardGreedy.sg(in.ds, in.query, in.delta, in.k),
+                          StandardGreedy.sgDits(ix, in.query, in.delta, in.k))
+      val cs = CoverageSearch.search(ix, in.query, in.delta, in.k)
+      Prop(sg == exp) :| s"SG=$sg reference=$exp" && Prop(sgDits == exp) :| s"SG+DITS=$sgDits reference=$exp" &&
+        Prop(cs == exp) :| s"CoverageSearch=$cs reference=$exp"
+    }
+    val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(300), prop)
     assert(res.passed, res.status.toString)
   }
 
