@@ -78,45 +78,22 @@ object CellSet {
     java.util.Arrays.binarySearch(a, lo, math.min(hi + 1, a.length), v)
   }
 
-  /** Sorted union of two sorted arrays, for `BruteForce`, the tests'
-    * oracles and perfbench's replays ([[Cover.add]] else). When one side is
-    * more than [[GallopRatio]] times longer, the runs of the longer side
-    * between the cells of the shorter one are block-copied.
+  /** Sorted union of two sorted arrays, by linear merge: for `BruteForce`,
+    * the tests' oracles and perfbench's replays ([[Cover.add]] else).
     */
-  def union(a: Array[Long], b: Array[Long]): Array[Long] =
-    if (a.length / GallopRatio > b.length) gallopUnion(b, a)
-    else if (b.length / GallopRatio > a.length) gallopUnion(a, b)
-    else {
-      val out = new Array[Long](a.length + b.length)
-      var i = 0; var j = 0; var n = 0
-      while (i < a.length && j < b.length) {
-        val c = java.lang.Long.compare(a(i), b(j))
-        if (c == 0) { out(n) = a(i); i += 1; j += 1 }
-        else if (c < 0) { out(n) = a(i); i += 1 }
-        else { out(n) = b(j); j += 1 }
-        n += 1
-      }
-      while (i < a.length) { out(n) = a(i); i += 1; n += 1 }
-      while (j < b.length) { out(n) = b(j); j += 1; n += 1 }
-      java.util.Arrays.copyOf(out, n)
+  def union(a: Array[Long], b: Array[Long]): Array[Long] = {
+    val out = new Array[Long](a.length + b.length)
+    var i = 0; var j = 0; var n = 0
+    while (i < a.length && j < b.length) {
+      val c = java.lang.Long.compare(a(i), b(j))
+      if (c == 0) { out(n) = a(i); i += 1; j += 1 }
+      else if (c < 0) { out(n) = a(i); i += 1 }
+      else { out(n) = b(j); j += 1 }
+      n += 1
     }
-
-  /** `small ∪ large`: each cell of `small` is placed with [[gallop]] and
-    * the run of `large` before it is copied in one block.
-    */
-  private def gallopUnion(small: Array[Long], large: Array[Long]): Array[Long] = {
-    val out = new Array[Long](small.length + large.length - gallopIntersectionSize(small, large))
-    var lo = 0; var n = 0; var i = 0
-    while (i < small.length) {
-      val p = gallop(large, lo, small(i))
-      val at = if (p >= 0) p else -p - 1
-      System.arraycopy(large, lo, out, n, at - lo); n += at - lo
-      out(n) = small(i); n += 1
-      lo = if (p >= 0) p + 1 else at
-      i += 1
-    }
-    System.arraycopy(large, lo, out, n, large.length - lo)
-    out
+    while (i < a.length) { out(n) = a(i); i += 1; n += 1 }
+    while (j < b.length) { out(n) = b(j); j += 1; n += 1 }
+    java.util.Arrays.copyOf(out, n)
   }
 
   /** Marginal gain `g(S_D, R) = |S_D ∪ R| − |R|` (Eq. 3) over a sorted R,
@@ -128,17 +105,14 @@ object CellSet {
   /** The covered cells R of one greedy CJSP run, a two-level bitmap in the
     * spirit of Roaring (Chambi, Lemire, Kaser & Godin, SPE 2016): cell `c`
     * is bit `c & 63` of the word of tile `c >>> 6`, an 8×8 block of cells
-    * in z-order. Tiles sit in an open-addressing table of primitive keys
-    * with a parallel word array (Fibonacci hash, linear probing, load
-    * ≤ 1/2). In a sorted input the cells of one tile are adjacent, so each
-    * run of them is ORed into one mask `m` and costs one probe, which adds
+    * in z-order. A [[LongTable]] maps each tile to its word. In a sorted
+    * input the cells of one tile are adjacent, so each run of them is ORed
+    * into one mask `m` and costs one probe, which adds
     * `bitCount(m & ~word)` to the gain; a pick sets bits and copies nothing.
     */
   final class Cover(cells: Array[Long]) {
-    private var keys = Array.fill(16)(-1L) // −1 marks an empty slot: cell IDs are ≥ 0
-    private var words = new Array[Long](16)
-    private var shift = 60 // 64 − log2(keys.length)
-    private var tiles = 0; private var covered = 0
+    private val words = new LongTable(8)
+    private var covered = 0
     add(cells)
 
     /** `|R|`. */
@@ -156,34 +130,12 @@ object CellSet {
       while (i < d.length) {
         val tile = d(i) >>> 6; var m = 0L
         while (i < d.length && (d(i) >>> 6) == tile) { m |= 1L << (d(i) & 63); i += 1 }
-        var s = slot(tile)
-        val fresh = m & ~words(s) // an empty slot's word is 0
+        val s = if (write) words.insert(tile) else words.find(tile)
+        val fresh = if (s < 0) m else m & ~words.value(s)
         g += java.lang.Long.bitCount(fresh)
-        if (write && fresh != 0) {
-          if (keys(s) < 0) {
-            if (2 * (tiles + 1) > keys.length) { grow(); s = slot(tile) }
-            keys(s) = tile; tiles += 1
-          }
-          words(s) |= fresh
-        }
+        if (write) words.setValue(s, words.value(s) | fresh)
       }
       g
-    }
-
-    /** Slot of `tile`, or the empty slot where it would go. */
-    private def slot(tile: Long): Int = {
-      var s = ((tile * 0x9E3779B97F4A7C15L) >>> shift).toInt
-      while (keys(s) != tile && keys(s) >= 0) s = (s + 1) & (keys.length - 1)
-      s
-    }
-
-    /** Doubles the table and re-inserts every tile with its word. */
-    private def grow(): Unit = {
-      val oldKeys = keys; val oldWords = words
-      keys = Array.fill(2 * oldKeys.length)(-1L); words = new Array[Long](keys.length); shift -= 1
-      for (j <- oldKeys.indices if oldKeys(j) >= 0) {
-        val s = slot(oldKeys(j)); keys(s) = oldKeys(j); words(s) = oldWords(j)
-      }
     }
   }
 
@@ -256,9 +208,6 @@ object CellSet {
     out
   }
 
-  /** Marks an unused [[NeighborIndex]] slot; no bucket key has bx = Int.MinValue. */
-  private final val EmptyBucket = Long.MinValue
-
   /** Exact δ-connectivity tester over one cell set, backed by a uniform
     * grid of buckets of side max(1, δ): any cell within Euclidean distance
     * δ of a probe cell lies in one of the 3×3 neighbouring buckets, so
@@ -266,11 +215,11 @@ object CellSet {
     * O(|other| · bucket occupancy) instead of O(|this| · |other|).
     * Used by every greedy CJSP variant.
     *
-    * The buckets sit in an open-addressing table of primitive keys
-    * (bx:32|by:32; linear probing, load ≤ 1/2). Table slot `s` owns the
-    * member coordinates `xs`/`ys(offs(s) until offs(s + 1))`, filled by
-    * counting each bucket's members and then placing them: two passes,
-    * no sort and nothing boxed.
+    * A [[LongTable]] sized for the cell count (so it never grows) numbers
+    * the non-empty buckets (bx:32|by:32) in order of first appearance.
+    * Bucket `n` owns the member coordinates `xs`/`ys(offs(n) until
+    * offs(n + 1))`, filled by counting each bucket's members and then
+    * placing them: two passes, no sort and nothing boxed.
     *
     * The first pass also records the bounding box `[lx, hx] × [ly, hy]` of
     * the member coordinates. A probe cell whose squared distance to that
@@ -284,36 +233,32 @@ object CellSet {
     requireDelta(delta)
     private val b = math.max(1, math.ceil(delta).toInt)
     private val d2max = delta * delta
-    private val bits = 1 + (32 - Integer.numberOfLeadingZeros(math.max(1, cells.length)))
-    private val mask = (1 << bits) - 1
-    private val keys = new Array[Long](mask + 1)
-    private val offs = new Array[Int](mask + 2)
+    private val buckets = new LongTable(cells.length)
+    private val offs = new Array[Int](cells.length + 1)
     private val xs = new Array[Int](cells.length)
     private val ys = new Array[Int](cells.length)
     // Bounding box of the members; empty (lx > hx) when there are none.
     private var lx = Int.MaxValue; private var hx = Int.MinValue
     private var ly = Int.MaxValue; private var hy = Int.MinValue
     locally {
-      java.util.Arrays.fill(keys, EmptyBucket)
-      val slotOf = new Array[Int](cells.length)
+      val bucketOf = new Array[Int](cells.length)
       var i = 0
       while (i < cells.length) {
         val x = Grid.cellX(cells(i)); val y = Grid.cellY(cells(i))
         if (x < lx) lx = x; if (x > hx) hx = x
         if (y < ly) ly = y; if (y > hy) hy = y
-        val key = bucketKey(x / b, y / b)
-        var s = home(key)
-        while (keys(s) != key && keys(s) != EmptyBucket) s = (s + 1) & mask
-        keys(s) = key
-        slotOf(i) = s; offs(s + 1) += 1
+        val n = buckets.size
+        val s = buckets.insert(bucketKey(x / b, y / b))
+        if (buckets.size > n) buckets.setValue(s, n)
+        bucketOf(i) = buckets.value(s).toInt; offs(bucketOf(i) + 1) += 1
         i += 1
       }
-      var s = 0
-      while (s <= mask) { offs(s + 1) += offs(s); s += 1 }
-      val next = java.util.Arrays.copyOf(offs, mask + 1)
+      var n = 0
+      while (n < buckets.size) { offs(n + 1) += offs(n); n += 1 }
+      val next = java.util.Arrays.copyOf(offs, buckets.size)
       i = 0
       while (i < cells.length) {
-        val p = next(slotOf(i)); next(slotOf(i)) = p + 1
+        val p = next(bucketOf(i)); next(bucketOf(i)) = p + 1
         xs(p) = Grid.cellX(cells(i)); ys(p) = Grid.cellY(cells(i))
         i += 1
       }
@@ -321,17 +266,10 @@ object CellSet {
 
     private def bucketKey(bx: Int, by: Int): Long = (bx.toLong << 32) | (by.toLong & 0xffffffffL)
 
-    /** Fibonacci hashing: the top `bits` bits of the key times 2^64/φ. */
-    private def home(key: Long): Int = ((key * 0x9E3779B97F4A7C15L) >>> (64 - bits)).toInt
-
-    /** Table slot of bucket `key`, or −1 when the bucket is empty. */
-    private def slot(key: Long): Int = {
-      var s = home(key)
-      while (keys(s) != key) {
-        if (keys(s) == EmptyBucket) return -1
-        s = (s + 1) & mask
-      }
-      s
+    /** Number of bucket `key`, or −1 when the bucket is empty. */
+    private def bucket(key: Long): Int = {
+      val s = buckets.find(key)
+      if (s < 0) -1 else buckets.value(s).toInt
     }
 
     /** Whether cell (x, y) is within δ of the members' bounding box. Per
@@ -350,7 +288,7 @@ object CellSet {
     /** Same, over coordinates already packed with [[packXY]]. Cells
       * farther than δ from the members' bounding box are skipped; cells
       * that fall in the same bucket as the previous probed one reuse its
-      * 3×3 table slots.
+      * 3×3 bucket numbers.
       */
     def connectedToPacked(other: Array[Long]): Boolean = {
       if (lx > hx) return false
@@ -363,14 +301,14 @@ object CellSet {
           val bx = x / b; val by = y / b
           if (bx != lastBx || by != lastBy) {
             var t = 0
-            while (t < 9) { near(t) = slot(bucketKey(bx + t / 3 - 1, by + t % 3 - 1)); t += 1 }
+            while (t < 9) { near(t) = bucket(bucketKey(bx + t / 3 - 1, by + t % 3 - 1)); t += 1 }
             lastBx = bx; lastBy = by
           }
           var t = 0
           while (t < 9) {
-            val s = near(t)
-            if (s >= 0) {
-              var j = offs(s); val end = offs(s + 1)
+            val n = near(t)
+            if (n >= 0) {
+              var j = offs(n); val end = offs(n + 1)
               while (j < end) {
                 val ddx = (x - xs(j)).toDouble; val ddy = (y - ys(j)).toDouble
                 if (ddx * ddx + ddy * ddy <= d2max) return true

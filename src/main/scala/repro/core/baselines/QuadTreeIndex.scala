@@ -1,7 +1,7 @@
 package repro.core.baselines
 
-import repro.core.{CellSet, Grid, MBR}
-import repro.core.dits.OverlapHit
+import repro.core.{CellSet, Grid, LongTable, MBR}
+import repro.core.dits.{OverlapHit, TopK}
 import scala.collection.mutable
 
 /** QuadTree baseline [Gargantini 82] as used in Section VII: the index is
@@ -80,20 +80,17 @@ final class QuadTreeIndex(side: Int) {
   def overlapTopK(queryCells: Array[Long], k: Int): Seq[OverlapHit] = {
     if (queryCells.isEmpty) return Seq.empty
     val qRect = CellSet.mbr(queryCells)
-    val qSet = queryCells.toSet
-    val counts = mutable.HashMap.empty[Int, mutable.HashSet[Long]]
+    val query = new LongTable(queryCells.length)
+    queryCells.foreach(query.insert)
+    val counts = new LongTable(16)
     def go(n: QNode): Unit =
       if (n.rect.intersects(qRect)) {
         if (n.isLeaf)
-          n.entries.foreach { case (c, id) =>
-            if (qSet.contains(c))
-              counts.getOrElseUpdate(id, mutable.HashSet.empty) += c
-          }
+          n.entries.foreach { case (c, id) => if (query.find(c) >= 0) counts.add(id, 1) }
         else n.children.foreach(go)
       }
     go(root)
-    counts.iterator.map { case (id, cs) => OverlapHit(id, cs.size) }
-      .toSeq.sorted.take(k)
+    TopK.of(counts, k).result
   }
 }
 

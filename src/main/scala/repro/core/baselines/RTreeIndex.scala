@@ -1,7 +1,7 @@
 package repro.core.baselines
 
 import repro.core.{CellSet, MBR}
-import repro.core.dits.OverlapHit
+import repro.core.dits.{OverlapHit, TopK}
 import scala.collection.mutable
 
 /** R-tree baseline [Guttman 84]: dynamic insertion with quadratic split,
@@ -134,20 +134,20 @@ final class RTreeIndex(val capacity: Int = 10) {
   def overlapTopK(queryCells: Array[Long], k: Int): Seq[OverlapHit] = {
     if (queryCells.isEmpty || empty) return Seq.empty
     val qRect = CellSet.mbr(queryCells)
-    val hits = mutable.ArrayBuffer.empty[OverlapHit]
+    val top = new TopK(k)
     def go(n: RNode): Unit = n match {
       case l: RLeaf =>
         l.entries.foreach { case (id, cells, r) =>
           if (r.intersects(qRect)) {
             val ov = CellSet.intersectionSize(cells, queryCells)
-            if (ov > 0) hits += OverlapHit(id, ov)
+            if (ov > 0) top.offer(ov, id)
           }
         }
       case i: RInternal =>
         if (i.rect.intersects(qRect)) i.children.foreach(go)
     }
     go(root)
-    hits.sorted.take(k).toSeq
+    top.result
   }
 }
 

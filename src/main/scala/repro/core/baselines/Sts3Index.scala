@@ -1,11 +1,12 @@
 package repro.core.baselines
 
-import repro.core.dits.OverlapHit
+import repro.core.LongTable
+import repro.core.dits.{OverlapHit, TopK}
 import scala.collection.mutable
 
 /** STS3 baseline [Peng et al., SIGMOD 16]: a flat inverted index over cell
   * IDs. OJSP accumulates per-dataset counters over the query cells'
-  * posting lists, then sorts *all* intersecting datasets — which is why,
+  * posting lists, then ranks *all* intersecting datasets — which is why,
   * as the paper observes, its runtime barely changes with k.
   */
 final class Sts3Index {
@@ -41,19 +42,16 @@ final class Sts3Index {
   }
 
   def overlapTopK(queryCells: Array[Long], k: Int): Seq[OverlapHit] = {
-    val counts = mutable.HashMap.empty[Int, Int]
+    val counts = new LongTable(16)
     var i = 0
     while (i < queryCells.length) {
       inv.get(queryCells(i)).foreach { pl =>
         var j = 0
-        while (j < pl.length) {
-          counts.update(pl(j), counts.getOrElse(pl(j), 0) + 1); j += 1
-        }
+        while (j < pl.length) { counts.add(pl(j), 1); j += 1 }
       }
       i += 1
     }
-    counts.iterator.map { case (id, ov) => OverlapHit(id, ov) }
-      .toSeq.sorted.take(k)
+    TopK.of(counts, k).result
   }
 }
 

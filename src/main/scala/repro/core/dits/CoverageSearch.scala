@@ -1,6 +1,6 @@
 package repro.core.dits
 
-import repro.core.{CellSet, MBR, Point}
+import repro.core.{CellSet, LongTable, MBR, Point}
 import scala.collection.mutable
 
 /** CJSP result: chosen dataset ids (in pick order) and the total coverage
@@ -17,8 +17,9 @@ final case class CoverageResult(picked: Seq[Int], coverage: Int)
   *
   *   lb = max(‖p_N, p_M‖ − r_N − r_M, 0)   ub = ‖p_N, p_M‖ + r_N + r_M
   *
-  * Subtrees with `ub ≤ δ` are connected wholesale; subtrees with `lb > δ`
-  * or whose rect lies farther than δ from the merged rect are pruned;
+  * Subtrees with `ub ≤ δ` are connected wholesale; subtrees whose rect
+  * lies farther than δ from the merged rect are pruned, which covers
+  * `lb > δ` (each ball contains its rect, so lb ≤ the rect distance);
   * leaves in between verify the exact cell-set distance of each dataset
   * whose own rect passes the same rect test.
   *
@@ -56,16 +57,17 @@ object CoverageSearch {
   }
 
   /** FindConnectSet: all dataset nodes within cell-distance δ of the
-    * merged set, via the Lemma 4 bounds; `merged` (the merged cells'
-    * δ-connectivity tester) is only consulted for the exact verification
-    * at leaves. Datasets whose id is `known` are skipped before the exact
-    * test and left out of `out`.
+    * merged set; `merged` (the merged cells' δ-connectivity tester) is
+    * only consulted for the exact verification at leaves. Datasets whose
+    * id is `known` are skipped before the exact test and left out of `out`.
     *
-    * Beside Lemma 4's ball bound, the distance between two rects is a
-    * lower bound on the cell distance (every cell lies inside its node's
-    * rect and `mergedRect` holds every merged cell), so a node or dataset
-    * whose rect lies farther than δ from `mergedRect` is pruned before the
-    * exact leaf test. Both bounds are exact: nothing connected is lost.
+    * A node whose Lemma 4 upper bound is ≤ δ is connected wholesale. The
+    * distance between two rects is a lower bound on the cell distance
+    * (every cell lies inside its node's rect and `mergedRect` holds every
+    * merged cell), so a node or dataset whose rect lies farther than δ
+    * from `mergedRect` is pruned before the exact leaf test; nothing
+    * connected is lost. Lemma 4's lower bound prunes nothing more: each
+    * ball contains its rect, so lb ≤ the rect distance.
     */
   def findConnected(root: TreeNode, mergedRect: MBR, merged: CellSet.NeighborIndex,
                     delta: Double, out: mutable.ArrayBuffer[DatasetNode],
@@ -73,9 +75,9 @@ object CoverageSearch {
     val mp = mergedRect.pivot; val mr = mergedRect.radius
     def near(r: MBR): Boolean = r.minDist(mergedRect) <= delta
     def go(n: TreeNode): Unit = {
-      val (lb, ub) = distBounds(n.pivot, n.radius, mp, mr)
+      val (_, ub) = distBounds(n.pivot, n.radius, mp, mr)
       if (ub <= delta) n.datasets.foreach(d => if (!known(d.id)) out += d) // whole subtree connected
-      else if (lb <= delta && near(n.rect)) n match {
+      else if (near(n.rect)) n match {
         case l: Leaf =>
           var c = 0
           while (c < l.children.length) {
@@ -128,16 +130,16 @@ object CoverageSearch {
     if (query.isEmpty) return CoverageResult(Nil, 0)
     val covered = new CellSet.Cover(query)
     val picked = mutable.ArrayBuffer.empty[Int]
-    val pooled = new IntSet
+    val pooled = new LongTable(8) // ids of the datasets ever pooled
     val heap = mutable.PriorityQueue.empty[Entry](byGainThenId)
     // Pool every dataset directly connected to `cells` and not pooled yet,
     // keyed on its size until it first reaches the top.
     def grow(rect: MBR, cells: Array[Long]): Unit = {
       val found = mutable.ArrayBuffer.empty[DatasetNode]
       findConnected(index.root, rect, new CellSet.NeighborIndex(cells, delta), delta, found,
-                    id => pooled.contains(id))
+                    id => pooled.find(id) >= 0)
       found.foreach { d =>
-        pooled.add(d.id)
+        pooled.insert(d.id)
         heap.enqueue(new Entry(d, d.cells.length, -1))
       }
     }
@@ -155,39 +157,5 @@ object CoverageSearch {
       }
     }
     CoverageResult(picked.toSeq, covered.size)
-  }
-
-  /** A set of ints in an open-addressing table of longs (linear probing,
-    * load ≤ 1/2), so membership tests box nothing.
-    */
-  private final class IntSet {
-    private val Empty = Long.MinValue // no Int widens to it
-    private var table = Array.fill(16)(Empty)
-    private var shift = 28 // 32 − log2(table.length)
-    private var size = 0
-
-    /** Fibonacci hashing: the top bits of x times 2^32/φ. */
-    private def home(x: Int): Int = (x * 0x9E3779B9) >>> shift
-
-    def contains(x: Int): Boolean = {
-      var s = home(x)
-      while (table(s) != Empty) { if (table(s) == x) return true; s = (s + 1) & (table.length - 1) }
-      false
-    }
-
-    def add(x: Int): Unit = if (!contains(x)) {
-      if (2 * (size + 1) > table.length) {
-        val old = table
-        table = Array.fill(2 * old.length)(Empty); shift -= 1
-        old.foreach(v => if (v != Empty) put(v.toInt))
-      }
-      put(x); size += 1
-    }
-
-    private def put(x: Int): Unit = {
-      var s = home(x)
-      while (table(s) != Empty) s = (s + 1) & (table.length - 1)
-      table(s) = x
-    }
   }
 }

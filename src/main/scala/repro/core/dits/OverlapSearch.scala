@@ -1,6 +1,6 @@
 package repro.core.dits
 
-import repro.core.CellSet
+import repro.core.{CellSet, LongTable}
 import scala.collection.mutable
 
 /** OJSP result entry: dataset id and its exact `|S_Q ∩ S_D|`. */
@@ -12,6 +12,67 @@ object OverlapHit {
     */
   implicit val ordering: Ordering[OverlapHit] = (a, b) =>
     if (a.overlap != b.overlap) Integer.compare(b.overlap, a.overlap) else Integer.compare(a.id, b.id)
+}
+
+/** The one top-k ranking kernel of the OJSP engines: the best k (overlap,
+  * id) pairs offered, in [[OverlapHit.ordering]] (higher overlap, then the
+  * smaller id). A min-heap of packed longs whose root is the weakest kept
+  * pair; it grows as pairs arrive, up to k. With k ≤ 0 it keeps nothing.
+  * Each id is offered at most once.
+  */
+final class TopK(k: Int) {
+  private var heap = new Array[Long](math.max(0, math.min(k, 16)))
+  private var size = 0
+
+  def full: Boolean = size == k
+  /** The k-th best overlap once [[full]]. */
+  def kth: Int = (heap(0) >>> 32).toInt
+
+  /** Orders by overlap, then by descending id: a pair beats another
+    * exactly when its key is larger.
+    */
+  private def key(overlap: Int, id: Int): Long =
+    (overlap.toLong << 32) | ((id ^ 0x7fffffff).toLong & 0xffffffffL)
+
+  def offer(overlap: Int, id: Int): Unit = {
+    val x = key(overlap, id)
+    if (size < k) {
+      if (size == heap.length) heap = java.util.Arrays.copyOf(heap, math.min(k, 2 * size))
+      var i = size; size += 1
+      while (i > 0 && heap((i - 1) / 2) > x) { heap(i) = heap((i - 1) / 2); i = (i - 1) / 2 }
+      heap(i) = x
+    } else if (size > 0 && x > heap(0)) { // sift the new pair down from the root
+      var i = 0; var done = false
+      while (!done) {
+        var m = 2 * i + 1
+        if (m + 1 < size && heap(m + 1) < heap(m)) m += 1
+        if (m < size && heap(m) < x) { heap(i) = heap(m); i = m } else done = true
+      }
+      heap(i) = x
+    }
+  }
+
+  def result: Seq[OverlapHit] = {
+    val keys = java.util.Arrays.copyOf(heap, size)
+    java.util.Arrays.sort(keys)
+    val out = new Array[OverlapHit](size)
+    var i = 0
+    while (i < size) {
+      val x = keys(size - 1 - i)
+      out(i) = OverlapHit(x.toInt ^ 0x7fffffff, (x >>> 32).toInt)
+      i += 1
+    }
+    scala.collection.immutable.ArraySeq.unsafeWrapArray(out)
+  }
+}
+
+object TopK {
+  /** The best k of `counts` (dataset id → overlap), as the baselines count them. */
+  def of(counts: LongTable, k: Int): TopK = {
+    val top = new TopK(k)
+    counts.foreach((id, overlap) => top.offer(overlap.toInt, id.toInt))
+    top
+  }
 }
 
 /** Algorithm 2 — OverlapSearch: branch-and-bound over DITS-L with
@@ -175,55 +236,5 @@ object OverlapSearch {
       c += 1
     }
     heap.result
-  }
-
-  /** The best k (overlap, id) pairs offered, best first: higher overlap,
-    * then the smaller id. A min-heap of packed longs whose root is the
-    * weakest kept pair; it grows as pairs arrive, up to k.
-    */
-  private final class TopK(k: Int) {
-    private var heap = new Array[Long](math.min(k, 16))
-    private var size = 0
-
-    def full: Boolean = size == k
-    /** The k-th best overlap once [[full]]. */
-    def kth: Int = (heap(0) >>> 32).toInt
-
-    /** Orders by overlap, then by descending id: a pair beats another
-      * exactly when its key is larger.
-      */
-    private def key(overlap: Int, id: Int): Long =
-      (overlap.toLong << 32) | ((id ^ 0x7fffffff).toLong & 0xffffffffL)
-
-    def offer(overlap: Int, id: Int): Unit = {
-      val x = key(overlap, id)
-      if (size < k) {
-        if (size == heap.length) heap = java.util.Arrays.copyOf(heap, math.min(k, 2 * size))
-        var i = size; size += 1
-        while (i > 0 && heap((i - 1) / 2) > x) { heap(i) = heap((i - 1) / 2); i = (i - 1) / 2 }
-        heap(i) = x
-      } else if (x > heap(0)) { // sift the new pair down from the root
-        var i = 0; var done = false
-        while (!done) {
-          var m = 2 * i + 1
-          if (m + 1 < size && heap(m + 1) < heap(m)) m += 1
-          if (m < size && heap(m) < x) { heap(i) = heap(m); i = m } else done = true
-        }
-        heap(i) = x
-      }
-    }
-
-    def result: Seq[OverlapHit] = {
-      val keys = java.util.Arrays.copyOf(heap, size)
-      java.util.Arrays.sort(keys)
-      val out = new Array[OverlapHit](size)
-      var i = 0
-      while (i < size) {
-        val x = keys(size - 1 - i)
-        out(i) = OverlapHit(x.toInt ^ 0x7fffffff, (x >>> 32).toInt)
-        i += 1
-      }
-      scala.collection.immutable.ArraySeq.unsafeWrapArray(out)
-    }
   }
 }

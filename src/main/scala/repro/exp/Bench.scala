@@ -9,18 +9,26 @@ object Bench {
 
   /** Untimed warm-up runs before the timed ones (JIT compilation). */
   val Warmup = 2
-  /** Timed runs; their median is reported. */
+  /** Timed runs; their median and interquartile range are reported. */
   val Reps = 5
 
-  /** Median wall-clock milliseconds of `run` over [[Reps]] timed runs after
-    * [[Warmup]] untimed ones.
+  /** Wall-clock milliseconds of the [[Reps]] timed runs: their median and
+    * their interquartile range, the 4th minus the 2nd of the 5 sorted runs.
     */
-  def medianMs(run: => Any): Double = medianMsAfter(())(_ => run)
+  final case class Timing(median: Double, iqr: Double) {
+    /** `median [IQR]`, the form every table prints. */
+    override def toString: String = s"${fmt(median)} [${fmt(iqr)}]"
+  }
 
-  /** As [[medianMs]], but each run first gets its own value from `setup`
+  /** [[Timing]] of `run` over [[Reps]] timed runs after [[Warmup]]
+    * untimed ones.
+    */
+  def timeMs(run: => Any): Timing = timeMsAfter(())(_ => run)
+
+  /** As [[timeMs]], but each run first gets its own value from `setup`
     * (say, a fresh index to write into), which is not timed.
     */
-  def medianMsAfter[S](setup: => S)(run: S => Any): Double = {
+  def timeMsAfter[S](setup: => S)(run: S => Any): Timing = {
     val ts = new Array[Double](Reps)
     var i = 0
     while (i < Warmup + Reps) {
@@ -32,7 +40,7 @@ object Bench {
       i += 1
     }
     java.util.Arrays.sort(ts)
-    ts(Reps / 2)
+    Timing(ts(Reps / 2), ts(3 * Reps / 4) - ts(Reps / 4))
   }
 
   /** Render rows as an aligned text table. */

@@ -54,10 +54,10 @@ object Experiments {
       val side = sources.head.grid.side
       val cells = pool.map(_._2.length.toLong).sum
       def entry[A](name: String, build: => A)(mem: A => Long) = {
-        val ms = Bench.medianMs(build)
+        val t = Bench.timeMs(build)
         val units = mem(build)
-        (Seq(th.toString, name, Bench.fmt(ms), units.toString),
-         Map(s"$name-build@$th" -> ms, s"$name-mem@$th" -> units.toDouble))
+        (Seq(th.toString, name, t.toString, units.toString),
+         Map(s"$name-build@$th" -> t.median, s"$name-mem@$th" -> units.toDouble))
       }
       Seq(
         entry("DITS-L", DitsLocal.build(pool, f))(ix => ix.nodeCount + ix.postingEntries),
@@ -67,16 +67,16 @@ object Experiments {
         entry("Josie", JosieIndex.build(pool))(_.postingEntries))
     }
     ExpTable("Fig. 8 — index construction vs θ",
-      Seq("theta", "index", "build_ms", "mem_units"),
+      Seq("theta", "index", "build_ms [IQR]", "mem_units"),
       rows.map(_._1), rows.flatMap(_._2).toMap)
   }
 
-  /** Median time (ms, [[Bench]]'s rule) of each named engine answering
-    * every query of `queries` in turn.
+  /** Time (ms, [[Bench]]'s rule) of each named engine answering every
+    * query of `queries` in turn.
     */
   private def batchTimes(queries: IndexedSeq[Array[Long]],
-                         engines: Seq[(String, Array[Long] => Any)]): Map[String, Double] =
-    engines.map { case (name, run) => name -> Bench.medianMs(queries.foreach(run)) }.toMap
+                         engines: Seq[(String, Array[Long] => Any)]): Map[String, Bench.Timing] =
+    engines.map { case (name, run) => name -> Bench.timeMs(queries.foreach(run)) }.toMap
 
   // ------------------------------------------------------------------ //
   // Figs. 9–12 — OJSP search time vs k, θ, q, f (5 algorithms)          //
@@ -104,16 +104,16 @@ object Experiments {
 
   /** Total search time (ms) over `queries` for each OJSP engine. */
   private def ojspTimes(engines: Seq[(String, Ojsp)], queries: IndexedSeq[Array[Long]],
-                        k: Int): Map[String, Double] =
+                        k: Int): Map[String, Bench.Timing] =
     batchTimes(queries, engines.map { case (name, s) => name -> ((q: Array[Long]) => s(q, k)) })
 
   private def sweep(title: String, param: String, values: Seq[String],
                     algs: Seq[String],
-                    run: String => Map[String, Double]): ExpTable = {
+                    run: String => Map[String, Bench.Timing]): ExpTable = {
     values.foreach(run) // untimed pass over the whole sweep, so no timed row finishes JIT warm-up
     val results = values.map(v => v -> run(v))
-    val rows = results.map { case (v, m) => v +: algs.map(a => Bench.fmt(m(a))) }
-    val metrics = results.flatMap { case (v, m) => m.map { case (a, t) => s"$a@$v" -> t } }
+    val rows = results.map { case (v, m) => v +: algs.map(a => m(a).toString) }
+    val metrics = results.flatMap { case (v, m) => m.map { case (a, t) => s"$a@$v" -> t.median } }
     ExpTable(title, param +: algs, rows, metrics.toMap)
   }
 
@@ -127,12 +127,12 @@ object Experiments {
     val sources = Workloads.cellSources(ParamGrid.thetaDefault, scale)
     val engines = allOjsp(sources)
     val queries = Workloads.sampleQueries(sources, ParamGrid.qDefault)
-    sweep("Fig. 9 — OJSP time (ms) vs k", "k", ParamGrid.k.map(_.toString), OjspAlgOrder,
+    sweep("Fig. 9 — OJSP time (ms, median [IQR]) vs k", "k", ParamGrid.k.map(_.toString), OjspAlgOrder,
       v => ojspTimes(engines, queries, v.toInt))
   }
 
   def overlapVsTheta(scale: Double = 0.1): ExpTable =
-    sweep("Fig. 10 — OJSP time (ms) vs θ", "theta", ParamGrid.theta.map(_.toString),
+    sweep("Fig. 10 — OJSP time (ms, median [IQR]) vs θ", "theta", ParamGrid.theta.map(_.toString),
           OjspAlgOrder, v => {
       val sources = Workloads.cellSources(v.toInt, scale)
       ojspTimes(allOjsp(sources), Workloads.sampleQueries(sources, ParamGrid.qDefault),
@@ -142,7 +142,7 @@ object Experiments {
   def overlapVsQ(scale: Double = 0.1): ExpTable = {
     val sources = Workloads.cellSources(ParamGrid.thetaDefault, scale)
     val engines = allOjsp(sources)
-    sweep("Fig. 11 — OJSP time (ms) vs q", "q", ParamGrid.q.map(_.toString), OjspAlgOrder,
+    sweep("Fig. 11 — OJSP time (ms, median [IQR]) vs q", "q", ParamGrid.q.map(_.toString), OjspAlgOrder,
       v => ojspTimes(engines, Workloads.sampleQueries(sources, v.toInt), ParamGrid.kDefault))
   }
 
@@ -151,7 +151,7 @@ object Experiments {
     val pool = pooled(sources); val side = sources.head.grid.side
     val queries = Workloads.sampleQueries(sources, ParamGrid.qDefault)
     val algs = Seq("DITS", "Rtree") // others have no f (paper, Fig. 12)
-    sweep("Fig. 12 — OJSP time (ms) vs f", "f", ParamGrid.f.map(_.toString), algs,
+    sweep("Fig. 12 — OJSP time (ms, median [IQR]) vs f", "f", ParamGrid.f.map(_.toString), algs,
       v => ojspTimes(ojspEngines(pool, side, v.toInt, algs), queries, ParamGrid.kDefault))
   }
 
@@ -186,12 +186,12 @@ object Experiments {
     val pool = pooled(sources)
     val ix = DitsLocal.build(pool, ParamGrid.fDefault)
     val queries = Workloads.sampleQueries(sources, CjspQueries)
-    sweep("Fig. 15 — CJSP time (ms) vs k", "k", ParamGrid.k.map(_.toString), CjspAlgs,
+    sweep("Fig. 15 — CJSP time (ms, median [IQR]) vs k", "k", ParamGrid.k.map(_.toString), CjspAlgs,
       v => batchTimes(queries, cjspEngines(pool, ix, ParamGrid.deltaDefault, v.toInt)))
   }
 
   def coverageVsTheta(scale: Double = 0.1): ExpTable = {
-    sweep("Fig. 16 — CJSP time (ms) vs θ", "theta", ParamGrid.theta.map(_.toString), CjspAlgs, v => {
+    sweep("Fig. 16 — CJSP time (ms, median [IQR]) vs θ", "theta", ParamGrid.theta.map(_.toString), CjspAlgs, v => {
       val sources = Workloads.cellSources(v.toInt, scale)
       val pool = pooled(sources)
       val queries = Workloads.sampleQueries(sources, CjspQueries)
@@ -204,7 +204,7 @@ object Experiments {
     val sources = Workloads.cellSources(ParamGrid.thetaDefault, scale)
     val pool = pooled(sources)
     val ix = DitsLocal.build(pool, ParamGrid.fDefault)
-    sweep("Fig. 17 — CJSP time (ms) vs q", "q", ParamGrid.q.map(_.toString), CjspAlgs, v => {
+    sweep("Fig. 17 — CJSP time (ms, median [IQR]) vs q", "q", ParamGrid.q.map(_.toString), CjspAlgs, v => {
       batchTimes(Workloads.sampleQueries(sources, v.toInt),
                  cjspEngines(pool, ix, ParamGrid.deltaDefault, ParamGrid.kDefault))
     })
@@ -215,7 +215,7 @@ object Experiments {
     val pool = pooled(sources)
     val ix = DitsLocal.build(pool, ParamGrid.fDefault)
     val queries = Workloads.sampleQueries(sources, CjspQueries)
-    sweep("Fig. 18 — CJSP time (ms) vs δ", "delta", ParamGrid.delta.map(_.toString), CjspAlgs,
+    sweep("Fig. 18 — CJSP time (ms, median [IQR]) vs δ", "delta", ParamGrid.delta.map(_.toString), CjspAlgs,
       v => batchTimes(queries, cjspEngines(pool, ix, v.toDouble, ParamGrid.kDefault)))
   }
 
@@ -289,16 +289,16 @@ object Experiments {
     val rows = betas.flatMap { b =>
       val ins = fresh.take(b); val upd = variant.take(b)
       indexes.map { case (name, build) =>
-        val insertMs = Bench.medianMsAfter(build()._1)(insert =>
+        val insert = Bench.timeMsAfter(build()._1)(insert =>
           ins.foreach { case (id, cs) => insert(id, cs) })
-        val updateMs = Bench.medianMsAfter(build()._2)(update =>
+        val update = Bench.timeMsAfter(build()._2)(update =>
           upd.foreach { case (id, cs) => update(id, cs) })
-        (Seq(b.toString, name, Bench.fmt(insertMs), Bench.fmt(updateMs)),
-         Map(s"$name-insert@$b" -> insertMs, s"$name-update@$b" -> updateMs))
+        (Seq(b.toString, name, insert.toString, update.toString),
+         Map(s"$name-insert@$b" -> insert.median, s"$name-update@$b" -> update.median))
       }
     }
     ExpTable("Figs. 21–22 — index update time vs β",
-      Seq("beta", "index", "insert_ms", "update_ms"),
+      Seq("beta", "index", "insert_ms [IQR]", "update_ms [IQR]"),
       rows.map(_._1), rows.flatMap(_._2).toMap)
   }
 }

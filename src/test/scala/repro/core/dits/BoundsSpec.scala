@@ -1,7 +1,8 @@
 package repro.core.dits
 
+import org.scalacheck.{Gen, Prop, Test => PropTest}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{CellSet, Grid}
+import repro.core.{CellSet, Grid, MBR}
 import scala.util.Random
 
 /** Lemma 2/3 (leaf intersection bounds) and Lemma 4 (node distance
@@ -67,5 +68,19 @@ class BoundsSpec extends AnyFunSuite {
     val exact = CellSet.minDist(sq, sd) // (1,1) to (5,0): sqrt(17)
     assert(math.abs(exact - math.sqrt(17)) < 1e-9)
     assert(lb <= exact && exact <= ub)
+  }
+
+  test("Lemma 4's lower bound never exceeds the distance of the two rects (property)") {
+    // Each rect lies inside its Lemma 4 ball, so FindConnectSet's rect test
+    // prunes every node the lower bound would.
+    val coord = Gen.frequency(2 -> Gen.choose(0, 8), 1 -> Gen.choose(0, 1 << 20))
+    val rects = Gen.zip(coord, coord, Gen.choose(0, 6), Gen.choose(0, 6)).map { case (x, y, w, h) =>
+      MBR(x, y, x + w, y + h) }
+    val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(2000),
+      Prop.forAll(rects, rects) { (a, b) =>
+        val (lb, _) = CoverageSearch.distBounds(a.pivot, a.radius, b.pivot, b.radius)
+        Prop(lb <= a.minDist(b) + 1e-6) :| s"a=$a b=$b lb=$lb rect distance=${a.minDist(b)}"
+      })
+    assert(res.passed, res.status.toString)
   }
 }

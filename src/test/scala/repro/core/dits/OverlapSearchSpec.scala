@@ -209,6 +209,20 @@ class OverlapSearchSpec extends AnyFunSuite {
     }
   }
 
+  test("the four baselines break ties at the k boundary to the smaller id across the whole Int range") {
+    val a = CellSet.of(Seq(Grid.interleave(1, 1), Grid.interleave(2, 2)))
+    val b = CellSet.of(Seq(Grid.interleave(1, 1)))
+    val ids = Seq(Int.MaxValue, 0, -1, Int.MinValue, 7, Int.MaxValue - 1, Int.MinValue + 1)
+    val ds = ids.zipWithIndex.map { case (id, i) => id -> (if (i % 2 == 0) a else b) }
+    val engines = Seq(
+      "QuadTree" -> QuadTreeIndex.build(ds, 4).overlapTopK _,
+      "Rtree"    -> RTreeIndex.build(ds, 2).overlapTopK _,
+      "STS3"     -> Sts3Index.build(ds).overlapTopK _,
+      "Josie"    -> JosieIndex.build(ds).overlapTopK _)
+    for (k <- 1 to ids.length + 1; q <- Seq(a, b); (name, search) <- engines)
+      assert(search(q, k) == BruteForce.overlapTopK(ds, q, k), s"$name k=$k |q|=${q.length}")
+  }
+
   test("bounds and verification count query cells at both ends of a leaf's key range") {
     val a = CellSet.of(Seq(Grid.interleave(1, 1), Grid.interleave(2, 2), Grid.interleave(3, 3)))
     val b = CellSet.of(Seq(Grid.interleave(2, 2), Grid.interleave(3, 3), Grid.interleave(4, 4)))
