@@ -140,12 +140,20 @@ object CellSet {
   }
 
   /** Cell-based dataset distance (Def. 6): the minimum Euclidean distance
-    * between the grid coordinates of any pair of cells. Early-exits at 0
-    * (shared cell).
+    * between the grid coordinates of any pair of cells; +∞ if one is empty.
     */
-  def minDist(a: Array[Long], b: Array[Long]): Double = {
+  def minDist(a: Array[Long], b: Array[Long]): Double = math.sqrt(closest(a, b, -1))
+
+  /** Whether `dist(a, b) ≤ δ` (Def. 7, directly connected). */
+  def connected(a: Array[Long], b: Array[Long], delta: Double): Boolean =
+    a.nonEmpty && b.nonEmpty && closest(a, b, delta * delta) <= delta * delta
+
+  /** The smallest squared distance of a pair of cells of `a` and `b`, or
+    * the first one found ≤ `stop`: 0 at once for a shared cell, found by a
+    * cheap sorted merge; +∞ if either is empty.
+    */
+  private def closest(a: Array[Long], b: Array[Long], stop: Double): Double = {
     if (a.isEmpty || b.isEmpty) return Double.PositiveInfinity
-    // A shared cell means distance 0 — check with a cheap sorted merge first.
     if (intersectionSize(a, b) > 0) return 0.0
     val bx = new Array[Int](b.length); val by = new Array[Int](b.length)
     var j = 0
@@ -158,36 +166,13 @@ object CellSet {
       while (j < b.length) {
         val dx = (ax - bx(j)).toDouble; val dy = (ay - by(j)).toDouble
         val d2 = dx * dx + dy * dy
+        if (d2 <= stop) return d2
         if (d2 < best) best = d2
         j += 1
       }
       i += 1
     }
-    math.sqrt(best)
-  }
-
-  /** Whether `dist(a, b) ≤ δ` (Def. 7, directly connected). Early-exits as
-    * soon as any pair is within range.
-    */
-  def connected(a: Array[Long], b: Array[Long], delta: Double): Boolean = {
-    if (a.isEmpty || b.isEmpty) return false
-    if (intersectionSize(a, b) > 0) return true
-    val d2max = delta * delta
-    val bx = new Array[Int](b.length); val by = new Array[Int](b.length)
-    var j = 0
-    while (j < b.length) { bx(j) = Grid.cellX(b(j)); by(j) = Grid.cellY(b(j)); j += 1 }
-    var i = 0
-    while (i < a.length) {
-      val ax = Grid.cellX(a(i)); val ay = Grid.cellY(a(i))
-      j = 0
-      while (j < b.length) {
-        val dx = (ax - bx(j)).toDouble; val dy = (ay - by(j)).toDouble
-        if (dx * dx + dy * dy <= d2max) return true
-        j += 1
-      }
-      i += 1
-    }
-    false
+    best
   }
 
   /** Reject a connectivity threshold that is negative or NaN. */
@@ -208,120 +193,112 @@ object CellSet {
     out
   }
 
-  /** Exact δ-connectivity tester over one cell set, backed by a uniform
-    * grid of buckets of side max(1, δ): any cell within Euclidean distance
-    * δ of a probe cell lies in one of the 3×3 neighbouring buckets, so
-    * [[connectedTo]] is equivalent to `minDist ≤ δ` while probing
-    * O(|other| · bucket occupancy) instead of O(|this| · |other|).
-    * Used by every greedy CJSP variant.
-    *
-    * A [[LongTable]] sized for the cell count (so it never grows) numbers
-    * the non-empty buckets (bx:32|by:32) in order of first appearance.
-    * Bucket `n` owns the member coordinates `xs`/`ys(offs(n) until
-    * offs(n + 1))`, filled by counting each bucket's members and then
-    * placing them: two passes, no sort and nothing boxed.
-    *
-    * The first pass also records the bounding box `[lx, hx] × [ly, hy]` of
-    * the member coordinates. A probe cell whose squared distance to that
-    * box exceeds δ² is skipped before its 3×3 buckets are looked up. The
-    * clip is exact: every member lies in the box, so the distance to the
-    * box is a lower bound on the distance to each member, and a cell it
-    * skips has no member within δ. Equality is kept (`>` δ², not `≥`), so
-    * a cell exactly δ from the box is still probed; δ = +∞ skips nothing.
+  /** Exact δ-connectivity tester over one cell set, used by every greedy
+    * CJSP variant: [[connectedTo]] ≡ `minDist ≤ δ`, probing O(|other| ·
+    * bucket occupancy) instead of O(|this| · |other|). The members sit in
+    * a dense row-major directory of w × h square buckets of side s ≥ δ over
+    * their bounding box `[lx, hx] × [ly, hy]`, so every member within δ of
+    * a probe lies in its 3×3 neighbouring buckets. Bucket (⌊(x − lx) / s⌋,
+    * ⌊(y − ly) / s⌋) is number `by · w + bx` and owns `xs`/`ys(offs(n)
+    * until offs(n + 1))`, placed by counting sort. s starts at
+    * max(1, ⌈δ⌉) and doubles until w · h ≤ 8 · |cells| + 8, so `offs`
+    * stays near 32 B per member however sparse the cells. A probe reads
+    * each of its three rows, clamped to the directory, as one contiguous
+    * run of members: no hashing. A probe cell farther than δ from the box
+    * (`>` δ², so δ = +∞ skips nothing) is skipped first, exactly: the box
+    * holds every member. One that passes is at most one bucket outside.
     */
-  final class NeighborIndex(cells: Array[Long], delta: Double) extends Serializable {
+  final class NeighborIndex private (delta: Double, xy: Array[Long]) extends Serializable {
+    /** Index of `cells`: [[NeighborIndex.packed]] over `packXY(cells)`. */
+    def this(cells: Array[Long], delta: Double) = this(delta, packXY(cells))
     requireDelta(delta)
-    private val b = math.max(1, math.ceil(delta).toInt)
     private val d2max = delta * delta
-    private val buckets = new LongTable(cells.length)
-    private val offs = new Array[Int](cells.length + 1)
-    private val xs = new Array[Int](cells.length)
-    private val ys = new Array[Int](cells.length)
     // Bounding box of the members; empty (lx > hx) when there are none.
     private var lx = Int.MaxValue; private var hx = Int.MinValue
     private var ly = Int.MaxValue; private var hy = Int.MinValue
     locally {
-      val bucketOf = new Array[Int](cells.length)
       var i = 0
-      while (i < cells.length) {
-        val x = Grid.cellX(cells(i)); val y = Grid.cellY(cells(i))
-        if (x < lx) lx = x; if (x > hx) hx = x
-        if (y < ly) ly = y; if (y > hy) hy = y
-        val n = buckets.size
-        val s = buckets.insert(bucketKey(x / b, y / b))
-        if (buckets.size > n) buckets.setValue(s, n)
-        bucketOf(i) = buckets.value(s).toInt; offs(bucketOf(i) + 1) += 1
-        i += 1
-      }
-      var n = 0
-      while (n < buckets.size) { offs(n + 1) += offs(n); n += 1 }
-      val next = java.util.Arrays.copyOf(offs, buckets.size)
-      i = 0
-      while (i < cells.length) {
-        val p = next(bucketOf(i)); next(bucketOf(i)) = p + 1
-        xs(p) = Grid.cellX(cells(i)); ys(p) = Grid.cellY(cells(i))
+      while (i < xy.length) {
+        val x = (xy(i) >> 32).toInt; val y = xy(i).toInt
+        lx = math.min(lx, x); hx = math.max(hx, x); ly = math.min(ly, y); hy = math.max(hy, y)
         i += 1
       }
     }
-
-    private def bucketKey(bx: Int, by: Int): Long = (bx.toLong << 32) | (by.toLong & 0xffffffffL)
-
-    /** Number of bucket `key`, or −1 when the bucket is empty. */
-    private def bucket(key: Long): Int = {
-      val s = buckets.find(key)
-      if (s < 0) -1 else buckets.value(s).toInt
+    private val side: Long = {
+      var s = math.max(1L, math.ceil(delta).toLong) // Long.MaxValue for δ = +∞
+      while (span(lx, hx, s) * span(ly, hy, s) > 8L * xy.length + 8) s *= 2
+      s
+    }
+    private val w = span(lx, hx, side).toInt
+    private val h = span(ly, hy, side).toInt
+    private val offs = new Array[Int](w * h + 1)
+    private val xs = new Array[Int](xy.length)
+    private val ys = new Array[Int](xy.length)
+    locally { // counting sort: sizes, running ends, then each member placed below its bucket's end
+      var i = 0
+      while (i < xy.length) { offs(bucket(xy(i))) += 1; i += 1 }
+      var n = 1
+      while (n < w * h) { offs(n) += offs(n - 1); n += 1 }
+      offs(w * h) = xy.length
+      while (i > 0) {
+        i -= 1
+        val b = bucket(xy(i)); offs(b) -= 1
+        xs(offs(b)) = (xy(i) >> 32).toInt; ys(offs(b)) = xy(i).toInt
+      }
     }
 
-    /** Whether cell (x, y) is within δ of the members' bounding box. Per
-      * axis the gap is 0 inside the box's span, else the distance to its
-      * nearer side.
-      */
+    /** Buckets of side `s` spanning `[lo, hi]`; 0 when the span is empty. */
+    private def span(lo: Int, hi: Int, s: Long): Long = if (lo > hi) 0 else (hi.toLong - lo) / s + 1
+    private def col(x: Int): Long = Math.floorDiv(x.toLong - lx, side)
+    private def row(y: Int): Long = Math.floorDiv(y.toLong - ly, side)
+    private def bucket(p: Long): Int = (row(p.toInt) * w + col((p >> 32).toInt)).toInt
+
+    /** The directory's side, columns and rows, and a cell's bucket column and row. */
+    private[core] def shape: (Long, Int, Int) = (side, w, h)
+    private[core] def bucketOf(x: Int, y: Int): (Long, Long) = (col(x), row(y))
+
+    /** Whether cell (x, y) is within δ of the box: per axis, the gap to its nearer side or 0. */
     private def nearBox(x: Int, y: Int): Boolean = {
       val gx = if (x < lx) (lx - x).toDouble else if (x > hx) (x - hx).toDouble else 0.0
       val gy = if (y < ly) (ly - y).toDouble else if (y > hy) (y - hy).toDouble else 0.0
       gx * gx + gy * gy <= d2max
     }
 
+    /** Whether a member of the 3×3 buckets around (x, y) is within δ of it. */
+    private def nearMember(x: Int, y: Int): Boolean = {
+      val bx = col(x); val by = row(y)
+      val c0 = math.max(bx - 1, 0L).toInt; val c1 = math.min(bx + 1, w - 1L).toInt
+      var r = math.max(by - 1, 0L).toInt; val r1 = math.min(by + 1, h - 1L).toInt
+      while (r <= r1) {
+        var j = offs(r * w + c0); val end = offs(r * w + c1 + 1)
+        while (j < end) {
+          val ddx = (x - xs(j)).toDouble; val ddy = (y - ys(j)).toDouble
+          if (ddx * ddx + ddy * ddy <= d2max) return true
+          j += 1
+        }
+        r += 1
+      }
+      false
+    }
+
     /** Whether any cell of `other` is within δ of any indexed cell. */
     def connectedTo(other: Array[Long]): Boolean = connectedToPacked(packXY(other))
 
-    /** Same, over coordinates already packed with [[packXY]]. Cells
-      * farther than δ from the members' bounding box are skipped; cells
-      * that fall in the same bucket as the previous probed one reuse its
-      * 3×3 bucket numbers.
-      */
+    /** Same, over coordinates already packed with [[packXY]]. */
     def connectedToPacked(other: Array[Long]): Boolean = {
-      if (lx > hx) return false
-      val near = new Array[Int](9)
-      var lastBx = -1; var lastBy = -1
       var i = 0
       while (i < other.length) {
         val x = (other(i) >> 32).toInt; val y = other(i).toInt
-        if (nearBox(x, y)) {
-          val bx = x / b; val by = y / b
-          if (bx != lastBx || by != lastBy) {
-            var t = 0
-            while (t < 9) { near(t) = bucket(bucketKey(bx + t / 3 - 1, by + t % 3 - 1)); t += 1 }
-            lastBx = bx; lastBy = by
-          }
-          var t = 0
-          while (t < 9) {
-            val n = near(t)
-            if (n >= 0) {
-              var j = offs(n); val end = offs(n + 1)
-              while (j < end) {
-                val ddx = (x - xs(j)).toDouble; val ddy = (y - ys(j)).toDouble
-                if (ddx * ddx + ddy * ddy <= d2max) return true
-                j += 1
-              }
-            }
-            t += 1
-          }
-        }
+        if (nearBox(x, y) && nearMember(x, y)) return true
         i += 1
       }
       false
     }
+  }
+
+  object NeighborIndex {
+    /** Index of cells given as grid coordinates packed with [[packXY]]. */
+    def packed(xy: Array[Long], delta: Double): NeighborIndex = new NeighborIndex(delta, xy)
   }
 
   /** MBR of a cell set in cell-coordinate space. The rectangle spans the

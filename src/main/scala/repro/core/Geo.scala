@@ -4,8 +4,13 @@ package repro.core
   * coordinates (the paper's Lemma 4 distance bounds operate on the latter).
   */
 final case class Point(x: Double, y: Double) extends Serializable {
-  def dist(o: Point): Double = {
-    val dx = x - o.x; val dy = y - o.y
+  def dist(o: Point): Double = Point.dist(x, y, o.x, o.y)
+}
+
+object Point {
+  /** Euclidean distance of (ax, ay) and (bx, by), allocating nothing. */
+  def dist(ax: Double, ay: Double, bx: Double, by: Double): Double = {
+    val dx = ax - bx; val dy = ay - by
     math.sqrt(dx * dx + dy * dy)
   }
 }
@@ -19,11 +24,13 @@ final case class MBR(minX: Double, minY: Double, maxX: Double, maxY: Double)
     extends Serializable {
   require(minX <= maxX && minY <= maxY, s"degenerate MBR ($minX,$minY,$maxX,$maxY)")
 
-  /** Pivot `o`: centre of the rectangle. */
-  def pivot: Point = Point((minX + maxX) / 2, (minY + maxY) / 2)
+  /** Pivot `o`: centre of the rectangle, also read per axis without a `Point`. */
+  def pivot: Point = Point(pivotX, pivotY)
+  def pivotX: Double = (minX + maxX) / 2
+  def pivotY: Double = (minY + maxY) / 2
 
   /** Radius `r`: half of the diagonal (farthest corner-to-corner distance). */
-  def radius: Double = pivot.dist(Point(maxX, maxY))
+  def radius: Double = Point.dist(pivotX, pivotY, maxX, maxY)
 
   /** Width of the rectangle along dimension `d` (0 = x, 1 = y). */
   def width(d: Int): Double = if (d == 0) maxX - minX else maxY - minY

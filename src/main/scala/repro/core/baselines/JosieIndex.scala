@@ -49,6 +49,7 @@ final class JosieIndex {
   }
 
   def overlapTopK(queryCells: Array[Long], k: Int): Seq[OverlapHit] = {
+    require(k > 0, "k must be positive")
     if (queryCells.isEmpty) return Seq.empty
     // Rarest-first ordering concentrates discriminative cells up front.
     val ordered = queryCells.sortBy(c => inv.get(c).map(_.length).getOrElse(0))

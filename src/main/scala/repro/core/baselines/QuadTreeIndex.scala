@@ -78,6 +78,7 @@ final class QuadTreeIndex(side: Int) {
 
   /** OJSP: scan leaves intersecting the query MBR, count matching cells. */
   def overlapTopK(queryCells: Array[Long], k: Int): Seq[OverlapHit] = {
+    require(k > 0, "k must be positive")
     if (queryCells.isEmpty) return Seq.empty
     val qRect = CellSet.mbr(queryCells)
     val query = new LongTable(queryCells.length)

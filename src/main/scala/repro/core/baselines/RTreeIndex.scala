@@ -132,6 +132,7 @@ final class RTreeIndex(val capacity: Int = 10) {
 
   /** OJSP: MBR filter down the tree, exact sorted-merge verification. */
   def overlapTopK(queryCells: Array[Long], k: Int): Seq[OverlapHit] = {
+    require(k > 0, "k must be positive")
     if (queryCells.isEmpty || empty) return Seq.empty
     val qRect = CellSet.mbr(queryCells)
     val top = new TopK(k)

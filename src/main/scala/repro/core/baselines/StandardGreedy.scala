@@ -65,7 +65,7 @@ object StandardGreedy {
     val q = CellSet.of(query)
     if (q.isEmpty) return CoverageResult(Nil, 0)
     val covered = new CellSet.Cover(q)
-    val members = mutable.ArrayBuffer((CellSet.mbr(q), new CellSet.NeighborIndex(q, delta)))
+    val members = mutable.ArrayBuffer((CellSet.mbr(q), CellSet.NeighborIndex.packed(CellSet.packXY(q), delta)))
     val picked = mutable.ArrayBuffer.empty[Int]
     val pickedIds = mutable.HashSet.empty[Int]
     var exhausted = false
@@ -73,7 +73,7 @@ object StandardGreedy {
       pick(members, pickedIds, covered) match {
         case Some(d) =>
           picked += d.id; pickedIds += d.id
-          members += ((d.rect, new CellSet.NeighborIndex(d.cells, delta)))
+          members += ((d.rect, CellSet.NeighborIndex.packed(d.packedXY, delta)))
           covered.add(d.cells)
         case None => exhausted = true
       }

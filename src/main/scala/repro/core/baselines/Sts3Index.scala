@@ -42,6 +42,7 @@ final class Sts3Index {
   }
 
   def overlapTopK(queryCells: Array[Long], k: Int): Seq[OverlapHit] = {
+    require(k > 0, "k must be positive")
     val counts = new LongTable(16)
     var i = 0
     while (i < queryCells.length) {

@@ -50,11 +50,14 @@ final case class CoverageResult(picked: Seq[Int], coverage: Int)
   */
 object CoverageSearch {
 
-  /** Lemma 4 bounds on `dist(S_M, S_D)` from two node summaries. */
-  def distBounds(aPivot: Point, aR: Double, bPivot: Point, bR: Double): (Double, Double) = {
-    val d = aPivot.dist(bPivot)
-    (math.max(d - aR - bR, 0.0), d + aR + bR)
-  }
+  /** Lemma 4 bounds on `dist(S_M, S_D)` from two node summaries, each a
+    * pivot (x, y) and a radius, read from the nodes' rects as plain
+    * doubles so that FindConnectSet allocates nothing per node.
+    */
+  def lowerBound(ax: Double, ay: Double, aR: Double, bx: Double, by: Double, bR: Double): Double =
+    math.max(Point.dist(ax, ay, bx, by) - aR - bR, 0.0)
+  def upperBound(ax: Double, ay: Double, aR: Double, bx: Double, by: Double, bR: Double): Double =
+    Point.dist(ax, ay, bx, by) + aR + bR
 
   /** FindConnectSet: all dataset nodes within cell-distance δ of the
     * merged set; `merged` (the merged cells' δ-connectivity tester) is
@@ -72,12 +75,13 @@ object CoverageSearch {
   def findConnected(root: TreeNode, mergedRect: MBR, merged: CellSet.NeighborIndex,
                     delta: Double, out: mutable.ArrayBuffer[DatasetNode],
                     known: Int => Boolean = _ => false): Unit = {
-    val mp = mergedRect.pivot; val mr = mergedRect.radius
+    val mx = mergedRect.pivotX; val my = mergedRect.pivotY; val mr = mergedRect.radius
     def near(r: MBR): Boolean = r.minDist(mergedRect) <= delta
     def go(n: TreeNode): Unit = {
-      val (_, ub) = distBounds(n.pivot, n.radius, mp, mr)
-      if (ub <= delta) n.datasets.foreach(d => if (!known(d.id)) out += d) // whole subtree connected
-      else if (near(n.rect)) n match {
+      val r = n.rect
+      if (upperBound(r.pivotX, r.pivotY, r.radius, mx, my, mr) <= delta) // whole subtree connected
+        n.datasets.foreach(d => if (!known(d.id)) out += d)
+      else if (near(r)) n match {
         case l: Leaf =>
           var c = 0
           while (c < l.children.length) {
@@ -132,11 +136,11 @@ object CoverageSearch {
     val picked = mutable.ArrayBuffer.empty[Int]
     val pooled = new LongTable(8) // ids of the datasets ever pooled
     val heap = mutable.PriorityQueue.empty[Entry](byGainThenId)
-    // Pool every dataset directly connected to `cells` and not pooled yet,
-    // keyed on its size until it first reaches the top.
-    def grow(rect: MBR, cells: Array[Long]): Unit = {
+    // Pool every dataset directly connected to the cells packed in `xy`
+    // and not pooled yet, keyed on its size until it first reaches the top.
+    def grow(rect: MBR, xy: Array[Long]): Unit = {
       val found = mutable.ArrayBuffer.empty[DatasetNode]
-      findConnected(index.root, rect, new CellSet.NeighborIndex(cells, delta), delta, found,
+      findConnected(index.root, rect, CellSet.NeighborIndex.packed(xy, delta), delta, found,
                     id => pooled.find(id) >= 0)
       found.foreach { d =>
         pooled.insert(d.id)
@@ -144,7 +148,7 @@ object CoverageSearch {
       }
     }
 
-    grow(CellSet.mbr(query), query)
+    grow(CellSet.mbr(query), CellSet.packXY(query))
     while (picked.length < k && heap.nonEmpty) {
       val e = heap.dequeue()
       if (e.round < picked.length) { // stale: re-evaluate against R
@@ -153,7 +157,7 @@ object CoverageSearch {
       } else {
         picked += e.d.id
         covered.add(e.d.cells)
-        if (picked.length < k) grow(e.d.rect, e.d.cells)
+        if (picked.length < k) grow(e.d.rect, e.d.packedXY)
       }
     }
     CoverageResult(picked.toSeq, covered.size)

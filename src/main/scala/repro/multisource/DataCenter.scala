@@ -20,6 +20,17 @@ object Distribution {
 /** A multi-source OJSP result: hits tagged with their source. */
 final case class MultiHit(sourceId: Int, datasetId: Int, overlap: Int)
 
+object MultiHit {
+  /** The pooled OJSP order: [[repro.core.dits.OverlapHit.ordering]] with
+    * the source id before the dataset id, so higher overlap first, then
+    * the smaller source id, then the smaller dataset id.
+    */
+  implicit val ordering: Ordering[MultiHit] = (a, b) =>
+    if (a.overlap != b.overlap) Integer.compare(b.overlap, a.overlap)
+    else if (a.sourceId != b.sourceId) Integer.compare(a.sourceId, b.sourceId)
+    else Integer.compare(a.datasetId, b.datasetId)
+}
+
 /** A multi-source CJSP result. */
 final case class MultiCoverage(picked: Seq[(Int, Int)], coverage: Int)
 
@@ -78,7 +89,7 @@ final class DataCenter(link: SourceLink) {
       comm.receiveHits(hits.length)
       hits.map(h => MultiHit(s, h.id, h.overlap))
     }
-    (all.sortBy(h => (-h.overlap, h.sourceId, h.datasetId)).take(k), comm)
+    (all.sorted.take(k), comm)
   }
 
   /** Multi-source CJSP: k greedy rounds; each round ships the merged set

@@ -40,7 +40,7 @@ final class SourceNode(val sourceId: Int, val grid: Grid,
     if (merged.isEmpty) return None
     val out = mutable.ArrayBuffer.empty[DatasetNode]
     CoverageSearch.findConnected(index.root, CellSet.mbr(merged),
-                                 new CellSet.NeighborIndex(merged, delta), delta, out)
+                                 CellSet.NeighborIndex.packed(CellSet.packXY(merged), delta), delta, out)
     CoverageSearch.bestGain(out, new CellSet.Cover(merged))(d => !excluded(d.id))
       .map(d => (d.id, grid.centres(d.cells)))
   }

@@ -238,6 +238,70 @@ class CellSetSpec extends AnyFunSuite {
     })
   }
 
+  /** Index sets beside [[cellPairs]]' small ones that make the bucket
+    * directory widen its side past max(1, ⌈δ⌉): two cells 2^27 apart, a
+    * 200-cell diagonal and sparse cells anywhere on a θ = 28 grid, probed
+    * by cells moved up to 6 from them or by random cells.
+    */
+  private val directoryCases: Gen[(Array[Long], Array[Long], Double)] = {
+    val top = (1 << 28) - 1
+    def cells(xys: Seq[(Int, Int)]) = CellSet.of(xys.map { case (x, y) => Grid.interleave(x, y) })
+    val wide = Gen.oneOf(
+      Gen.zip(Gen.choose(0, top - (1 << 27)), Gen.choose(0, top)).map { case (x, y) =>
+        (cells(Seq((x, y), (x + (1 << 27), y))), 0.0) },
+      Gen.choose(0, top - 199).map(o => (cells((0 until 200).map(i => (o + i, o + i))), 1.0)),
+      Gen.zip(Gen.choose(1, 30).flatMap(Gen.listOfN(_, Gen.zip(Gen.choose(0, top), Gen.choose(0, top)))),
+              deltas).map { case (xys, d) => (cells(xys), d) })
+    for {
+      (a, delta) <- Gen.frequency(2 -> wide, 1 -> Gen.zip(cellPairs.map(_._1), deltas))
+      b <- Gen.frequency(3 -> shifted(28, a), 1 -> cellsOn(28, 12))
+    } yield (a, b, delta)
+  }
+
+  test("NeighborIndex.packed ≡ new NeighborIndex ≡ CellSet.connected, with the directory within 8·|cells| + 8 buckets (property)") {
+    check(Prop.forAll(directoryCases) { case (a, b, delta) =>
+      val exp = CellSet.connected(a, b, delta)
+      val packed = CellSet.NeighborIndex.packed(CellSet.packXY(a), delta)
+      val (side, w, h) = packed.shape
+      Prop(packed.connectedToPacked(CellSet.packXY(b)) == exp &&
+           new CellSet.NeighborIndex(a, delta).connectedTo(b) == exp &&
+           w.toLong * h <= 8L * a.length + 8 && (side >= math.max(1.0, delta) || side == Long.MaxValue)) :|
+        s"|a|=${a.length} b=${b.map(c => (Grid.cellX(c), Grid.cellY(c))).toSeq} δ=$delta expected $exp, side=$side w=$w h=$h"
+    })
+  }
+
+  test("each bucket spans s coordinates from the members' low corner, also left of and below it (property)") {
+    check(Prop.forAll(directoryCases) { case (a, b, delta) =>
+      a.nonEmpty ==> {
+        val idx = new CellSet.NeighborIndex(a, delta)
+        val side = BigInt(idx.shape._1)
+        val lx = a.map(Grid.cellX).min; val ly = a.map(Grid.cellY).min
+        def within(v: Int, lo: Int, bucket: Long) =
+          BigInt(lo) + bucket * side <= v && v < BigInt(lo) + (bucket + 1) * side
+        val probes = (a ++ b).map(c => (Grid.cellX(c), Grid.cellY(c))) ++
+          (1 to 3).map(d => (math.max(0, lx - d), math.max(0, ly - d)))
+        val bad = probes.filterNot { case (x, y) =>
+          val (bx, by) = idx.bucketOf(x, y)
+          within(x, lx, bx) && within(y, ly, by)
+        }
+        Prop(bad.isEmpty) :| s"side=$side low corner=($lx, $ly) cells outside their bucket: ${bad.take(3).toSeq}"
+      }
+    })
+  }
+
+  test("the directory's side is max(1, ⌈δ⌉) for dense cells and doubles for sparse ones") {
+    def side(xys: Seq[(Int, Int)], delta: Double) =
+      new CellSet.NeighborIndex(CellSet.of(xys.map { case (x, y) => Grid.interleave(x, y) }), delta).shape._1
+    val block = for (x <- 0 until 10; y <- 0 until 10) yield (x, y)
+    assert(side(block, 0.0) == 1 && side(block, 1.0) == 1 && side(block, 2.5) == 3 && side(block, 5.0) == 5)
+    assert(side(block, Double.PositiveInfinity) == Long.MaxValue)
+    // 2 cells: at most 24 buckets, so 2^27 / s + 1 ≤ 24 first holds at s = 2^23.
+    assert(side(Seq((3, 5), (3 + (1 << 27), 5)), 0.0) == (1L << 23))
+    // 200 cells: at most 1608 buckets; (199 / s + 1)^2 is 2500 at s = 4 and 625 at s = 8.
+    assert(side((0 until 200).map(i => (7 + i, 7 + i)), 1.0) == 8)
+    assert(new CellSet.NeighborIndex(Array.emptyLongArray, 3.0).shape == ((3L, 0, 0)))
+  }
+
   test("the distance of two cell sets' MBRs is a lower bound on their cell distance (property)") {
     check(Prop.forAll(cellPairs) { case (a, b) =>
       (a.nonEmpty && b.nonEmpty) ==> (CellSet.mbr(a).minDist(CellSet.mbr(b)) <= CellSet.minDist(a, b))

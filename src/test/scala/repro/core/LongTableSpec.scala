@@ -4,16 +4,16 @@ import org.scalacheck.{Gen, Prop, Test => PropTest}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable
 
-/** LongTable, the primitive hash table under `Cover`, `NeighborIndex`,
-  * CoverageSearch's pooled ids and the baselines' overlap counts, behaves
-  * as a `mutable.HashMap[Long, Long]` whose absent keys read as 0.
+/** LongTable, the primitive hash table under `Cover`, CoverageSearch's
+  * pooled ids and the baselines' overlap counts, behaves as a
+  * `mutable.HashMap[Long, Long]` whose absent keys read as 0.
   */
 class LongTableSpec extends AnyFunSuite {
   import LongTableSpec._
 
   /** Keys at the edges a caller can hand in (−1, 0, widened `Int.MinValue`,
-    * `Long.MaxValue`, `NeighborIndex` bucket keys with a negative bx or by),
-    * a small range so keys repeat and collide, and any other long.
+    * `Long.MaxValue`, two ints packed as (hi:32|lo:32) with a negative
+    * half), a small range so keys repeat and collide, and any other long.
     */
   private val keys: Gen[Long] = Gen.frequency(
     3 -> Gen.oneOf(-1L, 0L, Int.MinValue.toLong, Int.MaxValue.toLong, Long.MaxValue, Long.MinValue + 1),

@@ -2,13 +2,18 @@ package repro.core.dits
 
 import org.scalacheck.{Gen, Prop, Test => PropTest}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{CellSet, Grid, MBR}
+import repro.core.{CellSet, Grid, MBR, Point}
 import scala.util.Random
 
 /** Lemma 2/3 (leaf intersection bounds) and Lemma 4 (node distance
   * bounds): the exact value always lies within [lb, ub].
   */
 class BoundsSpec extends AnyFunSuite {
+
+  /** Lemma 4's (lb, ub) for two nodes' rects, as FindConnectSet reads them. */
+  private def bounds(a: MBR, b: MBR): (Double, Double) =
+    (CoverageSearch.lowerBound(a.pivotX, a.pivotY, a.radius, b.pivotX, b.pivotY, b.radius),
+     CoverageSearch.upperBound(a.pivotX, a.pivotY, a.radius, b.pivotX, b.pivotY, b.radius))
 
   private def randomCells(rnd: Random, n: Int, span: Int = 48): Array[Long] = {
     val cx = rnd.nextInt(span); val cy = rnd.nextInt(span)
@@ -52,7 +57,7 @@ class BoundsSpec extends AnyFunSuite {
       val a = randomCells(rnd, 1 + rnd.nextInt(20))
       val b = randomCells(rnd, 1 + rnd.nextInt(20))
       val na = DatasetNode(0, a); val nb = DatasetNode(1, b)
-      val (lb, ub) = CoverageSearch.distBounds(na.pivot, na.radius, nb.pivot, nb.radius)
+      val (lb, ub) = bounds(na.rect, nb.rect)
       val exact = CellSet.minDist(a, b)
       assert(lb <= exact + 1e-9, s"lb=$lb > exact=$exact")
       assert(ub >= exact - 1e-9, s"ub=$ub < exact=$exact")
@@ -64,10 +69,30 @@ class BoundsSpec extends AnyFunSuite {
     val sq = CellSet.of(Seq(Grid.interleave(0, 0), Grid.interleave(1, 1)))
     val sd = CellSet.of(Seq(Grid.interleave(5, 0), Grid.interleave(6, 1)))
     val nq = DatasetNode(0, sq); val nd = DatasetNode(1, sd)
-    val (lb, ub) = CoverageSearch.distBounds(nq.pivot, nq.radius, nd.pivot, nd.radius)
+    val (lb, ub) = bounds(nq.rect, nd.rect)
     val exact = CellSet.minDist(sq, sd) // (1,1) to (5,0): sqrt(17)
     assert(math.abs(exact - math.sqrt(17)) < 1e-9)
     assert(lb <= exact && exact <= ub)
+  }
+
+  test("Lemma 4's upper bound from the rects' fields == pivot distance plus radii through Points (property)") {
+    // The Point form is the textbook one, pivot distance plus both radii,
+    // each through a Point. Equality to the last bit keeps every wholesale
+    // decision of FindConnectSet the same.
+    val coord = Gen.frequency(2 -> Gen.choose(0, 1 << 20).map(_.toDouble), 1 -> Gen.choose(-1e6, 1e6))
+    val rects = Gen.zip(coord, coord, Gen.choose(0.0, 1e4), Gen.choose(0.0, 1e4)).map { case (x, y, w, h) =>
+      MBR(x, y, x + w, y + h) }
+    def viaPoints(a: MBR, b: MBR): Double = {
+      val ra = a.pivot.dist(Point(a.maxX, a.maxY)); val rb = b.pivot.dist(Point(b.maxX, b.maxY))
+      val d = a.pivot.dist(b.pivot)
+      d + ra + rb
+    }
+    val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(2000),
+      Prop.forAll(rects, rects) { (a, b) =>
+        val ub = bounds(a, b)._2
+        Prop(ub == viaPoints(a, b)) :| s"a=$a b=$b ub=$ub via Points=${viaPoints(a, b)}"
+      })
+    assert(res.passed, res.status.toString)
   }
 
   test("Lemma 4's lower bound never exceeds the distance of the two rects (property)") {
@@ -78,7 +103,7 @@ class BoundsSpec extends AnyFunSuite {
       MBR(x, y, x + w, y + h) }
     val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(2000),
       Prop.forAll(rects, rects) { (a, b) =>
-        val (lb, _) = CoverageSearch.distBounds(a.pivot, a.radius, b.pivot, b.radius)
+        val (lb, _) = bounds(a, b)
         Prop(lb <= a.minDist(b) + 1e-6) :| s"a=$a b=$b lb=$lb rect distance=${a.minDist(b)}"
       })
     assert(res.passed, res.status.toString)

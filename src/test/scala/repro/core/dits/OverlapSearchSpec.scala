@@ -223,6 +223,18 @@ class OverlapSearchSpec extends AnyFunSuite {
       assert(search(q, k) == BruteForce.overlapTopK(ds, q, k), s"$name k=$k |q|=${q.length}")
   }
 
+  test("all five OJSP engines reject k ≤ 0, for a non-empty and an empty query") {
+    val ds = randomDatasets(9, 6)
+    val engines = Seq(
+      "DITS"     -> ((q: Array[Long], k: Int) => OverlapSearch.search(DitsLocal.build(ds, 4), q, k)),
+      "QuadTree" -> QuadTreeIndex.build(ds, 64).overlapTopK _,
+      "Rtree"    -> RTreeIndex.build(ds, 2).overlapTopK _,
+      "STS3"     -> Sts3Index.build(ds).overlapTopK _,
+      "Josie"    -> JosieIndex.build(ds).overlapTopK _)
+    for (k <- Seq(0, -1); q <- Seq(ds.head._2, Array.emptyLongArray); (name, search) <- engines)
+      withClue(s"$name k=$k |q|=${q.length}: ")(intercept[IllegalArgumentException](search(q, k)))
+  }
+
   test("bounds and verification count query cells at both ends of a leaf's key range") {
     val a = CellSet.of(Seq(Grid.interleave(1, 1), Grid.interleave(2, 2), Grid.interleave(3, 3)))
     val b = CellSet.of(Seq(Grid.interleave(2, 2), Grid.interleave(3, 3), Grid.interleave(4, 4)))
