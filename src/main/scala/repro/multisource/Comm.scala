@@ -3,8 +3,10 @@ package repro.multisource
 /** Communication accounting for the data-center ↔ data-source protocol
   * (Section VI-A, Figs. 13–14 and 19–20).
   *
-  * Costs are modelled as the payload bytes actually shipped: 8 bytes per
-  * cell ID, 4 bytes per dataset id / integer count, 8 bytes per double.
+  * Each message costs a 24-byte header ([[CommStats.HeaderBytes]]) plus 8
+  * bytes per item: a lon/lat point shipped either way (`sendCells`,
+  * `receiveCells`) is charged as the 8-byte cell ID it stands for, and an
+  * OJSP hit (`receiveHits`) as a 4-byte dataset id plus a 4-byte count.
   * Transmission time = bytes / bandwidth (the paper: "the transmission
   * time is inversely proportional to the network bandwidth").
   */

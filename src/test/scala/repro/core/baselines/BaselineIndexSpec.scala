@@ -1,12 +1,15 @@
 package repro.core.baselines
 
+import org.scalacheck.{Gen, Prop, Test => PropTest}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{CellSet, Grid, SynthSpatial}
 import repro.core.dits.OverlapHit
+import scala.collection.mutable
 import scala.util.Random
 
 /** All four baseline indexes answer OJSP identically to brute force, and
-  * their update paths leave them equivalent to a fresh rebuild.
+  * their update paths leave them equivalent to a fresh rebuild. STS3 and
+  * JOSIE, which share one posting index, also count their entries exactly.
   */
 class BaselineIndexSpec extends AnyFunSuite {
 
@@ -117,6 +120,79 @@ class BaselineIndexSpec extends AnyFunSuite {
     val rebuilt = JosieIndex.build(current)
     val q = randomDatasets(71, 1).head._2
     assert(ix.overlapTopK(q, 15) == rebuilt.overlapTopK(q, 15))
+  }
+
+  private sealed trait Write
+  private case class Put(id: Int, cells: Array[Long]) extends Write
+  /** Updates the live dataset at `pick`, to its own cells when `cells` is None. */
+  private case class Change(pick: Int, cells: Option[Array[Long]]) extends Write
+  private case class Drop(pick: Int) extends Write
+
+  test("STS3 and JOSIE ≡ brute force and postingEntries ≡ live cells after random writes (property)") {
+    // A 4×4 grid keeps lists short enough to empty; `hot` sits in most
+    // datasets, so its list outgrows its initial room of three ids.
+    val hot = Grid.interleave(0, 0)
+    val universe = for (x <- 0 until 4; y <- 0 until 4) yield Grid.interleave(x, y)
+    val ids = Gen.frequency(3 -> Gen.choose(Int.MinValue, Int.MaxValue),
+      1 -> Gen.oneOf(Int.MinValue, Int.MinValue + 1, -1, 0, 1, Int.MaxValue - 1, Int.MaxValue))
+    val cells = for {
+      n <- Gen.choose(1, 5); cs <- Gen.listOfN(n, Gen.oneOf(universe)); withHot <- Gen.prob(0.6)
+    } yield CellSet.of(if (withHot) hot :: cs else cs)
+    val write: Gen[Write] = Gen.frequency(
+      4 -> (for (id <- ids; cs <- cells) yield Put(id, cs)),
+      2 -> (for (p <- Gen.choose(0, 99); same <- Gen.prob(0.3); cs <- cells)
+            yield Change(p, if (same) None else Some(cs))),
+      3 -> Gen.choose(0, 99).map(Drop))
+    val writes = Gen.choose(1, 40).flatMap(Gen.listOfN(_, write))
+    var hotCases, refillCases, sameCases, signCases = 0
+    val prop = Prop.forAll(writes, Gen.listOfN(3, Gen.oneOf(universe))) { (ws, q) =>
+      val sts3 = Sts3Index.build(Nil); val josie = JosieIndex.build(Nil)
+      val live = mutable.TreeMap.empty[Int, Array[Long]]
+      val held = mutable.Map.empty[Long, Int].withDefaultValue(0) // cell → live datasets holding it
+      val emptied = mutable.Set.empty[Long]
+      var overRoom, refilled, same = false
+      def add(id: Int, cs: Array[Long]): Unit = {
+        cs.foreach { c => refilled ||= emptied(c); held(c) += 1; overRoom ||= held(c) > 3 }
+        live(id) = cs
+      }
+      def drop(id: Int): Unit = {
+        live(id).foreach { c => held(c) -= 1; if (held(c) == 0) emptied += c }
+        live -= id
+      }
+      def pick(p: Int): Int = live.keysIterator.drop(p % live.size).next()
+      ws.foreach {
+        case Put(id, cs) if !live.contains(id) =>
+          sts3.insert(id, cs); josie.insert(id, cs); add(id, cs)
+        case Change(p, cs) if live.nonEmpty =>
+          val id = pick(p); val old = live(id); val now = cs.getOrElse(old)
+          same ||= cs.isEmpty
+          sts3.update(id, old, now); josie.update(id, old, now); drop(id); add(id, now)
+        case Drop(p) if live.nonEmpty =>
+          val id = pick(p)
+          sts3.remove(id, live(id)); josie.remove(id, live(id)); drop(id)
+        case _ => ()
+      }
+      if (overRoom) hotCases += 1
+      if (refilled) refillCases += 1
+      if (same) sameCases += 1
+      if (live.nonEmpty && live.firstKey < 0 && live.lastKey >= 0) signCases += 1
+      val entries = live.valuesIterator.map(_.length.toLong).sum
+      val answers = for {
+        query <- Seq(CellSet.of(universe), CellSet.of(q)); k <- Seq(1, 3, live.size + 1)
+        exp = BruteForce.overlapTopK(live, query, k)
+        (name, got) <- Seq("STS3" -> sts3.overlapTopK(query, k), "Josie" -> josie.overlapTopK(query, k))
+      } yield Prop(got == exp) :| s"$name=$got brute=$exp k=$k |q|=${query.length}"
+      val counted = Seq("STS3" -> sts3.postingEntries, "Josie" -> josie.postingEntries).map {
+        case (name, n) => Prop(n == entries) :| s"$name postingEntries $n, live cells $entries"
+      }
+      Prop.all(counted ++ answers: _*)
+    }
+    val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(1000), prop)
+    assert(res.passed, res.status.toString)
+    // Each required shape of input occurs in many of the 1,000 sequences.
+    for ((shape, n) <- Seq("cell over initial room" -> hotCases, "emptied then refilled" -> refillCases,
+                           "identical update" -> sameCases, "negative and non-negative ids" -> signCases))
+      assert(n >= 100, s"$shape in only $n sequences")
   }
 
   private def updatedOr(orig: Map[Int, Array[Long]], upd: Map[Int, Array[Long]],
