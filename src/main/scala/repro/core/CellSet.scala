@@ -102,13 +102,28 @@ object CellSet {
   def marginalGain(d: Array[Long], covered: Array[Long]): Int =
     d.length - intersectionSize(d, covered)
 
+  /** The tile of cell `c`: cell `c` is bit `c & 63` of tile `c >>> 6`, an
+    * 8×8 block of cells in z-order.
+    */
+  def tileOf(c: Long): Long = c >>> 6
+
+  /** The membership word of the run of cells of `d` from `d(i)` on that
+    * share its tile: bit `c & 63` for each cell `c` of the run. In a sorted,
+    * distinct `d` the run is the next `bitCount` of the word cells.
+    */
+  def tileMask(d: Array[Long], i: Int): Long = {
+    val tile = tileOf(d(i)); var m = 0L; var j = i
+    while (j < d.length && tileOf(d(j)) == tile) { m |= 1L << (d(j) & 63); j += 1 }
+    m
+  }
+
   /** The covered cells R of one greedy CJSP run, a two-level bitmap in the
     * spirit of Roaring (Chambi, Lemire, Kaser & Godin, SPE 2016): cell `c`
-    * is bit `c & 63` of the word of tile `c >>> 6`, an 8×8 block of cells
-    * in z-order. A [[LongTable]] maps each tile to its word. In a sorted
-    * input the cells of one tile are adjacent, so each run of them is ORed
-    * into one mask `m` and costs one probe, which adds
-    * `bitCount(m & ~word)` to the gain; a pick sets bits and copies nothing.
+    * is a bit of the word of its [[tileOf tile]]. A [[LongTable]] maps each
+    * tile to its word. In a sorted input the cells of one tile are
+    * adjacent, so each run of them is one [[tileMask]] `m` and costs one
+    * probe, which adds `bitCount(m & ~word)` to the gain; a pick sets bits
+    * and copies nothing.
     */
   final class Cover(cells: Array[Long]) {
     private val words = new LongTable(8)
@@ -128,8 +143,8 @@ object CellSet {
     private def scan(d: Array[Long], write: Boolean): Int = {
       var g = 0; var i = 0
       while (i < d.length) {
-        val tile = d(i) >>> 6; var m = 0L
-        while (i < d.length && (d(i) >>> 6) == tile) { m |= 1L << (d(i) & 63); i += 1 }
+        val tile = tileOf(d(i)); val m = tileMask(d, i)
+        i += java.lang.Long.bitCount(m)
         val s = if (write) words.insert(tile) else words.find(tile)
         val fresh = if (s < 0) m else m & ~words.value(s)
         g += java.lang.Long.bitCount(fresh)

@@ -89,12 +89,14 @@ object TopK {
   * so the top-k heap tightens as early as possible; per-dataset counts come
   * from one pass over the query cells' posting lists.
   *
-  * One kernel, [[probe]], looks query cells up in a leaf's flat index
-  * (`Leaf.keys`/`offs`/`slots`). It looks up only the query cells inside
-  * the leaf's rect, each by galloping on from the previous position, and
-  * records the key position of each hit. The Lemma 2 bound is the number
-  * of hits; verification reads the posting lists at the recorded
-  * positions and looks nothing up again.
+  * One kernel, [[probe]], looks query tiles up in a leaf's flat index
+  * (`Leaf.tiles`/`words`/`rank`, then `offs`/`slots`). The query is
+  * grouped once into runs of cells that share a 64-cell z-order tile
+  * ([[QueryTiles]]). For each run that meets the leaf's rect, the probe
+  * gallops once to the run's tile from the previous position, and
+  * records the key position of each query cell in `mask & word`. The
+  * Lemma 2 bound is the number of hits; verification reads the posting
+  * lists at the recorded positions and looks nothing up again.
   */
 object OverlapSearch {
 
@@ -129,28 +131,94 @@ object OverlapSearch {
 
   /** The key positions in `leaf` of the query cells it holds, ascending. */
   private def hitsOf(leaf: Leaf, query: Array[Long]): Array[Int] = {
-    val hits = new Array[Int](math.min(query.length, leaf.keys.length))
-    java.util.Arrays.copyOf(hits, probe(leaf, query, CellSet.packXY(query), hits, 0))
+    val hits = new Array[Int](math.min(query.length, leaf.keyCount))
+    java.util.Arrays.copyOf(hits, probe(leaf, new QueryTiles(query), hits, 0))
   }
 
-  /** Writes to `hits` from `at` the position in `leaf.keys` of each query
-    * cell found there, ascending, and returns how many it wrote; `hits`
-    * must have room for `min(query.length, keys.length)` more. `xy` is
-    * `CellSet.packXY(query)`. Only a cell inside the leaf's half-open rect
-    * `[minX, maxX) × [minY, maxY)` is looked up: every key lies there,
-    * because the rect contains each child's MBR.
+  /** A sorted, distinct query grouped into runs of cells that share a
+    * tile ([[CellSet.tileOf]]): run `r` is `query(from(r) until from(r +
+    * 1))`, its tile is `tile(r)` (ascending), its [[CellSet.tileMask]]
+    * `mask(r)`, and the cells' bounding box `box(4r until 4r + 4)` =
+    * (min x, max x, min y, max y), inclusive. `xy` is
+    * `CellSet.packXY(query)`.
     */
-  private def probe(leaf: Leaf, query: Array[Long], xy: Array[Long], hits: Array[Int], at: Int): Int = {
-    val keys = leaf.keys; val r = leaf.rect
-    val lx = r.minX.toInt; val hx = r.maxX.toInt; val ly = r.minY.toInt; val hy = r.maxY.toInt
-    var n = at; var from = 0; var i = 0
-    while (i < query.length && from < keys.length) {
-      val x = (xy(i) >> 32).toInt; val y = xy(i).toInt
-      if (x >= lx && x < hx && y >= ly && y < hy) {
-        val p = CellSet.gallop(keys, from, query(i))
-        if (p >= 0) { hits(n) = p; n += 1; from = p + 1 } else from = -p - 1
+  private final class QueryTiles(val query: Array[Long]) {
+    val xy: Array[Long] = CellSet.packXY(query)
+    val size: Int = {
+      var n = 0; var i = 0
+      while (i < query.length) { i += java.lang.Long.bitCount(CellSet.tileMask(query, i)); n += 1 }
+      n
+    }
+    val tile = new Array[Long](size)
+    val mask = new Array[Long](size)
+    val from = new Array[Int](size + 1)
+    val box = new Array[Int](4 * size)
+    locally {
+      var i = 0; var r = 0
+      while (r < size) {
+        tile(r) = CellSet.tileOf(query(i)); mask(r) = CellSet.tileMask(query, i); from(r) = i
+        val end = i + java.lang.Long.bitCount(mask(r))
+        var x0 = Int.MaxValue; var x1 = Int.MinValue; var y0 = Int.MaxValue; var y1 = Int.MinValue
+        while (i < end) {
+          val x = (xy(i) >> 32).toInt; val y = xy(i).toInt
+          x0 = math.min(x0, x); x1 = math.max(x1, x); y0 = math.min(y0, y); y1 = math.max(y1, y)
+          i += 1
+        }
+        box(4 * r) = x0; box(4 * r + 1) = x1; box(4 * r + 2) = y0; box(4 * r + 3) = y1
+        r += 1
       }
-      i += 1
+      from(size) = i
+    }
+  }
+
+  /** Writes to `hits` from `at` the key position in `leaf` of each query
+    * cell found there, ascending, and returns how many it wrote; `hits`
+    * must have room for `min(query.length, leaf.keyCount)` more. Only the
+    * cells inside the leaf's half-open rect `[minX, maxX) × [minY, maxY)`
+    * are looked up: every key lies there, because the rect contains each
+    * child's MBR. A run whose box lies inside the rect takes its whole
+    * mask, one whose box misses it is skipped, and one that straddles an
+    * edge tests its cells one by one. Each run left with a non-empty mask
+    * costs one gallop in `tiles`; runs outside the leaf's first to last
+    * tile are not visited.
+    */
+  private def probe(leaf: Leaf, q: QueryTiles, hits: Array[Int], at: Int): Int = {
+    val tiles = leaf.tiles
+    if (tiles.length == 0) return 0
+    val r = leaf.rect
+    val lx = r.minX.toInt; val hx = r.maxX.toInt; val ly = r.minY.toInt; val hy = r.maxY.toInt
+    val box = q.box; val xy = q.xy; val query = q.query
+    val last = tiles(tiles.length - 1)
+    var n = at; var from = 0
+    var run = java.util.Arrays.binarySearch(q.tile, 0, q.size, tiles(0))
+    if (run < 0) run = -run - 1
+    while (run < q.size && q.tile(run) <= last) {
+      val x0 = box(4 * run); val x1 = box(4 * run + 1); val y0 = box(4 * run + 2); val y1 = box(4 * run + 3)
+      val m =
+        if (x1 < lx || x0 >= hx || y1 < ly || y0 >= hy) 0L
+        else if (x0 >= lx && x1 < hx && y0 >= ly && y1 < hy) q.mask(run)
+        else {
+          var inside = 0L; var i = q.from(run)
+          while (i < q.from(run + 1)) {
+            val x = (xy(i) >> 32).toInt; val y = xy(i).toInt
+            if (x >= lx && x < hx && y >= ly && y < hy) inside |= 1L << (query(i) & 63)
+            i += 1
+          }
+          inside
+        }
+      if (m != 0) {
+        val p = CellSet.gallop(tiles, from, q.tile(run))
+        if (p >= 0) {
+          var hit = m & leaf.words(p)
+          while (hit != 0) {
+            val low = hit & -hit
+            hits(n) = leaf.position(p, low); n += 1
+            hit ^= low
+          }
+          from = p + 1
+        } else from = -p - 1
+      }
+      run += 1
     }
     n - at
   }
@@ -183,7 +251,7 @@ object OverlapSearch {
     require(k > 0, "k must be positive")
     if (queryCells.isEmpty) return Seq.empty
     val qRect = CellSet.mbr(queryCells)
-    val xy = CellSet.packXY(queryCells)
+    val qt = new QueryTiles(queryCells)
 
     // ---- Filter: collect candidate leaves with bounds (BranchAndBound). --
     // Candidate c is `leaves(c)`, its hits are `hits(starts(c) until
@@ -197,9 +265,9 @@ object OverlapSearch {
     def descend(n: TreeNode): Unit = n match {
       case l: Leaf =>
         if (l.rect.intersects(qRect)) {
-          val room = math.min(queryCells.length, l.keys.length)
+          val room = math.min(queryCells.length, l.keyCount)
           if (hits.length - nh < room) hits = java.util.Arrays.copyOf(hits, math.max(2 * hits.length, nh + room))
-          val ub = probe(l, queryCells, xy, hits, nh)
+          val ub = probe(l, qt, hits, nh)
           if (ub > 0) {
             val c = leaves.length
             if (c == order.length) {

@@ -204,11 +204,21 @@ object DitsLocalSpec {
 
   /** The leaf's flat inverted index equals the one rebuilt from its
     * children: sorted distinct keys, and for each key the ascending slots
-    * of the children holding it.
+    * of the children holding it. The keys are stored as tiles: strictly
+    * ascending tiles, no empty word, and each rank the number of keys in
+    * the tiles before it.
     */
   def assertFlatIndex(leaf: Leaf): Unit = {
     val keys = leaf.children.flatMap(_.cells).distinct.sorted
     val postings = keys.map(c => leaf.children.indices.filter(s => leaf.children(s).cells.contains(c)))
+    val (tiles, words) = (leaf.tiles.toSeq, leaf.words.toSeq)
+    assert(tiles.zip(tiles.drop(1)).forall { case (a, b) => a < b }, s"tiles not strictly ascending: $tiles")
+    assert(words.length == tiles.length && leaf.rank.length == tiles.length, "tile arrays differ in length")
+    assert(!words.contains(0L), "a tile without keys")
+    assert(leaf.rank.toSeq == words.scanLeft(0)(_ + java.lang.Long.bitCount(_)).dropRight(1),
+           "ranks are not the prefix sums of the tiles' key counts")
+    assert(tiles == keys.map(CellSet.tileOf).distinct, "tiles out of sync with children")
+    assert(leaf.keyCount == keys.length, "key count out of sync with children")
     assert(leaf.keys.toSeq == keys, "leaf keys out of sync with children")
     assert(leaf.offs.toSeq == postings.scanLeft(0)(_ + _.length), "leaf offsets out of sync")
     assert(leaf.slots.toSeq == postings.flatten, "leaf postings out of sync with children")

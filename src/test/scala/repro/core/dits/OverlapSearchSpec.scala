@@ -198,6 +198,78 @@ class OverlapSearchSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
+  /** Tiny grids of side 2^θ, θ ∈ {2, 3, 4}: part of one 64-cell tile,
+    * exactly one tile, and four tiles. Cells often sit on bits 0 and 63 of
+    * their tile, and leaves of 2–4 datasets cut the query's tiles at their
+    * rect edges. The writes are fresh inserts, updates and deletes.
+    */
+  private val tileScenarios: Gen[Scenario] = for {
+    theta <- Gen.oneOf(2, 3, 4)
+    span = 1 << theta
+    any = Gen.zip(Gen.choose(0, span - 1), Gen.choose(0, span - 1))
+    // Bit 0 (low corner) or bit 63 (high corner) of one tile, when the grid has it.
+    corner = Gen.zip(Gen.choose(0, (span - 1) / 8), Gen.choose(0, (span - 1) / 8), Gen.oneOf(0, 7)).map {
+      case (tx, ty, o) => (math.min(span - 1, 8 * tx + o), math.min(span - 1, 8 * ty + o))
+    }
+    cell = Gen.frequency(3 -> any, 1 -> corner).map { case (x, y) => Grid.interleave(x, y) }
+    cells = Gen.choose(1, 8).flatMap(Gen.listOfN(_, cell)).map(CellSet.of(_))
+    n <- Gen.choose(1, 12)
+    fresh <- Gen.listOfN(n, cells)
+    writes <- Gen.choose(0, 12).flatMap(Gen.listOfN(_, Gen.frequency(
+      2 -> cells.map(Insert(_, -1)),
+      2 -> Gen.zip(Gen.choose(0, 40), cells).map { case (p, cs) => Update(p, cs, -1) },
+      2 -> Gen.choose(0, 40).map(Delete(_)))))
+    qSize <- Gen.choose(1, 24)
+    query <- Gen.listOfN(qSize, cell)
+    kOf <- Gen.oneOf(0, 1, 2)
+    capacity <- Gen.oneOf(2, 3, 4)
+  } yield Scenario(fresh.indices.zip(fresh), writes, CellSet.of(query), kOf, capacity, span)
+
+  test("bounds, verification and search ≡ brute force when query tiles straddle leaf rects (property)") {
+    var straddling = 0 // query tiles with cells both inside and outside a leaf's rect
+    var cornerHits = 0 // query cells on bit 0 or 63 of their tile found in a leaf
+    val prop = Prop.forAll(tileScenarios) { sc =>
+      val ix = DitsLocal.build(sc.ds, sc.capacity)
+      val live = mutable.TreeMap(sc.ds: _*)
+      sc.writes.foreach {
+        case Insert(cs, _) =>
+          val id = Iterator.from(0).find(!live.contains(_)).get
+          ix.insert(DatasetNode(id, cs)); live(id) = cs
+        case _ if live.isEmpty => ()
+        case Update(p, cs, _) =>
+          val id = live.keysIterator.drop(p % live.size).next()
+          ix.update(DatasetNode(id, cs)); live(id) = cs
+        case Delete(p) =>
+          val id = live.keysIterator.drop(p % live.size).next()
+          ix.delete(id); live -= id
+      }
+      val q = sc.query
+      val perLeaf = ix.root.leaves.toList.zipWithIndex.map { case (leaf, l) =>
+        val held = leaf.children.map(_.cells)
+        val ub = q.count(c => held.exists(_.contains(c)))
+        val lb = if (held.isEmpty) 0 else q.count(c => held.forall(_.contains(c)))
+        val counts = leaf.children.map(d => d.id -> CellSet.intersectionSize(d.cells, q)).filter(_._2 > 0).toMap
+        val r = leaf.rect
+        def inRect(c: Long): Boolean = {
+          val x = Grid.cellX(c); val y = Grid.cellY(c)
+          x >= r.minX && x < r.maxX && y >= r.minY && y < r.maxY
+        }
+        straddling += q.groupBy(CellSet.tileOf).values.count(run => run.exists(inRect) && !run.forall(inRect))
+        cornerHits += q.count(c => (c & 63) % 63 == 0 && held.exists(_.contains(c)))
+        Prop.all(
+          Prop(OverlapSearch.upperBound(leaf, q) == ub) :| s"leaf $l upperBound ${OverlapSearch.upperBound(leaf, q)} != $ub",
+          Prop(OverlapSearch.lowerBound(leaf, q) == lb) :| s"leaf $l lowerBound ${OverlapSearch.lowerBound(leaf, q)} != $lb",
+          Prop(OverlapSearch.verifyLeaf(leaf, q) == counts) :| s"leaf $l verifyLeaf ${OverlapSearch.verifyLeaf(leaf, q)} != $counts")
+      }
+      val k = Seq(1, math.max(1, live.size), live.size + 3)(sc.kOf)
+      val got = OverlapSearch.search(ix, q, k); val exp = BruteForce.overlapTopK(live, q, k)
+      Prop.all(perLeaf :+ (Prop(got == exp) :| s"search=$got brute=$exp k=$k"): _*)
+    }
+    val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(1000), prop)
+    assert(res.passed, res.status.toString)
+    assert(straddling > 100 && cornerHits > 100, s"straddling tiles $straddling, corner hits $cornerHits")
+  }
+
   test("ties at the k boundary go to the smaller id across the whole Int range") {
     val a = CellSet.of(Seq(Grid.interleave(1, 1), Grid.interleave(2, 2)))
     val b = CellSet.of(Seq(Grid.interleave(1, 1)))
