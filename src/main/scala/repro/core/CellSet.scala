@@ -117,15 +117,50 @@ object CellSet {
     m
   }
 
+  /** A sorted, distinct cell set grouped into runs of cells that share a
+    * [[tileOf tile]]: run `r` is `cells(from(r) until from(r + 1))`, its
+    * tile is `tile(r)` (ascending), its [[tileMask]] `mask(r)`, and the
+    * bounding box of its cells `box(4r until 4r + 4)` = (min x, max x,
+    * min y, max y), inclusive. `xy` is `packXY(cells)`. OJSP's probe,
+    * [[Cover]] and [[NeighborIndex]] all read a cell set as these runs.
+    */
+  final class Tiles(val cells: Array[Long]) {
+    val xy: Array[Long] = packXY(cells)
+    val size: Int = {
+      var n = 0; var i = 0
+      while (i < cells.length) { i += java.lang.Long.bitCount(tileMask(cells, i)); n += 1 }
+      n
+    }
+    val tile = new Array[Long](size)
+    val mask = new Array[Long](size)
+    val from = new Array[Int](size + 1)
+    val box = new Array[Int](4 * size)
+    locally {
+      var i = 0; var r = 0
+      while (r < size) {
+        tile(r) = tileOf(cells(i)); mask(r) = tileMask(cells, i); from(r) = i
+        val end = i + java.lang.Long.bitCount(mask(r))
+        var x0 = Int.MaxValue; var x1 = Int.MinValue; var y0 = Int.MaxValue; var y1 = Int.MinValue
+        while (i < end) {
+          val x = (xy(i) >> 32).toInt; val y = xy(i).toInt
+          x0 = math.min(x0, x); x1 = math.max(x1, x); y0 = math.min(y0, y); y1 = math.max(y1, y)
+          i += 1
+        }
+        box(4 * r) = x0; box(4 * r + 1) = x1; box(4 * r + 2) = y0; box(4 * r + 3) = y1
+        r += 1
+      }
+      from(size) = i
+    }
+  }
+
   /** The covered cells R of one greedy CJSP run, a two-level bitmap in the
     * spirit of Roaring (Chambi, Lemire, Kaser & Godin, SPE 2016): cell `c`
     * is a bit of the word of its [[tileOf tile]]. A [[LongTable]] maps each
-    * tile to its word. In a sorted input the cells of one tile are
-    * adjacent, so each run of them is one [[tileMask]] `m` and costs one
-    * probe, which adds `bitCount(m & ~word)` to the gain; a pick sets bits
-    * and copies nothing.
+    * tile to its word. A set arrives as [[Tiles]], so each run `m` costs
+    * one probe, which adds `bitCount(m & ~word)` to the gain; a pick sets
+    * bits and copies nothing.
     */
-  final class Cover(cells: Array[Long]) {
+  final class Cover(cells: Tiles) {
     private val words = new LongTable(8)
     private var covered = 0
     add(cells)
@@ -133,24 +168,26 @@ object CellSet {
     /** `|R|`. */
     def size: Int = covered
 
-    /** Marginal gain `|d \ R|` (Eq. 3) of a sorted, distinct `d`. */
-    def gain(d: Array[Long]): Int = scan(d, write = false)
-
-    /** R := R ∪ d, for a sorted, distinct `d`. */
-    def add(d: Array[Long]): Unit = covered += scan(d, write = true)
-
-    /** `|d \ R|`; with `write`, the new cells are also set in R. */
-    private def scan(d: Array[Long], write: Boolean): Int = {
-      var g = 0; var i = 0
-      while (i < d.length) {
-        val tile = tileOf(d(i)); val m = tileMask(d, i)
-        i += java.lang.Long.bitCount(m)
-        val s = if (write) words.insert(tile) else words.find(tile)
-        val fresh = if (s < 0) m else m & ~words.value(s)
-        g += java.lang.Long.bitCount(fresh)
-        if (write) words.setValue(s, words.value(s) | fresh)
+    /** Marginal gain `|d \ R|` (Eq. 3). */
+    def gain(d: Tiles): Int = {
+      var g = 0; var r = 0
+      while (r < d.size) {
+        val s = words.find(d.tile(r))
+        g += java.lang.Long.bitCount(if (s < 0) d.mask(r) else d.mask(r) & ~words.value(s))
+        r += 1
       }
       g
+    }
+
+    /** R := R ∪ d. */
+    def add(d: Tiles): Unit = {
+      var r = 0
+      while (r < d.size) {
+        val s = words.insert(d.tile(r))
+        covered += java.lang.Long.bitCount(d.mask(r) & ~words.value(s))
+        words.setValue(s, words.value(s) | d.mask(r))
+        r += 1
+      }
     }
   }
 
@@ -219,9 +256,14 @@ object CellSet {
     * max(1, ⌈δ⌉) and doubles until w · h ≤ 8 · |cells| + 8, so `offs`
     * stays near 32 B per member however sparse the cells. A probe reads
     * each of its three rows, clamped to the directory, as one contiguous
-    * run of members: no hashing. A probe cell farther than δ from the box
-    * (`>` δ², so δ = +∞ skips nothing) is skipped first, exactly: the box
-    * holds every member. One that passes is at most one bucket outside.
+    * run of members: no hashing.
+    *
+    * The probe set arrives as [[Tiles]], and a whole run is rejected
+    * first, exactly, in two ways: its box lies farther than δ from the
+    * members' box (`>` δ², so δ = +∞ rejects nothing), or the buckets
+    * from one before to one past its box's columns and rows hold no
+    * member. Only the cells of a surviving run are probed one by one,
+    * each first against the members' box in the same way.
     */
   final class NeighborIndex private (delta: Double, xy: Array[Long]) extends Serializable {
     /** Index of `cells`: [[NeighborIndex.packed]] over `packXY(cells)`. */
@@ -272,11 +314,28 @@ object CellSet {
     private[core] def shape: (Long, Int, Int) = (side, w, h)
     private[core] def bucketOf(x: Int, y: Int): (Long, Long) = (col(x), row(y))
 
-    /** Whether cell (x, y) is within δ of the box: per axis, the gap to its nearer side or 0. */
-    private def nearBox(x: Int, y: Int): Boolean = {
-      val gx = if (x < lx) (lx - x).toDouble else if (x > hx) (x - hx).toDouble else 0.0
-      val gy = if (y < ly) (ly - y).toDouble else if (y > hy) (y - hy).toDouble else 0.0
+    /** Whether the box `[x0, x1] × [y0, y1]` is within δ of the members'
+      * box: per axis, the gap between the two or 0.
+      */
+    private def nearBox(x0: Int, x1: Int, y0: Int, y1: Int): Boolean = {
+      val gx = math.max(0L, math.max(lx.toLong - x1, x0.toLong - hx)).toDouble
+      val gy = math.max(0L, math.max(ly.toLong - y1, y0.toLong - hy)).toDouble
       gx * gx + gy * gy <= d2max
+    }
+
+    /** Whether a bucket from one before `[x0, x1]`'s columns to one past
+      * them, in the rows likewise around `[y0, y1]`, holds a member: each
+      * row's span of columns is one contiguous range of `offs`.
+      */
+    private def anyMemberAround(x0: Int, x1: Int, y0: Int, y1: Int): Boolean = {
+      val c0 = math.max(col(x0) - 1, 0L); val c1 = math.min(col(x1) + 1, w - 1L)
+      var r = math.max(row(y0) - 1, 0L); val r1 = math.min(row(y1) + 1, h - 1L)
+      if (c0 > c1) return false
+      while (r <= r1) {
+        if (offs((r * w + c1).toInt + 1) > offs((r * w + c0).toInt)) return true
+        r += 1
+      }
+      false
     }
 
     /** Whether a member of the 3×3 buckets around (x, y) is within δ of it. */
@@ -297,22 +356,29 @@ object CellSet {
     }
 
     /** Whether any cell of `other` is within δ of any indexed cell. */
-    def connectedTo(other: Array[Long]): Boolean = connectedToPacked(packXY(other))
-
-    /** Same, over coordinates already packed with [[packXY]]. */
-    def connectedToPacked(other: Array[Long]): Boolean = {
-      var i = 0
-      while (i < other.length) {
-        val x = (other(i) >> 32).toInt; val y = other(i).toInt
-        if (nearBox(x, y) && nearMember(x, y)) return true
-        i += 1
+    def connectedTo(other: Tiles): Boolean = {
+      val box = other.box; val xy = other.xy
+      var r = 0
+      while (r < other.size) {
+        val x0 = box(4 * r); val x1 = box(4 * r + 1); val y0 = box(4 * r + 2); val y1 = box(4 * r + 3)
+        if (nearBox(x0, x1, y0, y1) && anyMemberAround(x0, x1, y0, y1)) {
+          var i = other.from(r)
+          while (i < other.from(r + 1)) {
+            val x = (xy(i) >> 32).toInt; val y = xy(i).toInt
+            if (nearBox(x, x, y, y) && nearMember(x, y)) return true
+            i += 1
+          }
+        }
+        r += 1
       }
       false
     }
   }
 
   object NeighborIndex {
-    /** Index of cells given as grid coordinates packed with [[packXY]]. */
+    /** Index of cells given as grid coordinates packed with [[packXY]],
+      * such as [[Tiles.xy]].
+      */
     def packed(xy: Array[Long], delta: Double): NeighborIndex = new NeighborIndex(delta, xy)
   }
 

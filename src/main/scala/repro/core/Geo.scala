@@ -54,11 +54,18 @@ final case class MBR(minX: Double, minY: Double, maxX: Double, maxY: Double)
   /** Minimum distance from any point of this MBR to any point of `o`
     * (0 when they intersect).
     */
-  def minDist(o: MBR): Double = {
-    val dx = math.max(0.0, math.max(o.minX - maxX, minX - o.maxX))
-    val dy = math.max(0.0, math.max(o.minY - maxY, minY - o.maxY))
-    math.sqrt(dx * dx + dy * dy)
+  def minDist(o: MBR): Double = math.sqrt(minDist2(o))
+
+  /** The square of [[minDist]], for rect tests against δ² without a root. */
+  def minDist2(o: MBR): Double = {
+    val dx = gap(o.minX - maxX, minX - o.maxX); val dy = gap(o.minY - maxY, minY - o.maxY)
+    dx * dx + dy * dy
   }
+
+  /** The gap on one axis from its two signed differences, of which at
+    * most one is positive: that one, else 0.
+    */
+  private def gap(a: Double, b: Double): Double = if (a > 0) a else if (b > 0) b else 0.0
 }
 
 object MBR {

@@ -38,7 +38,7 @@ object StandardGreedy {
       // (members are themselves connected to Q transitively).
       CoverageSearch.bestGain(nodes, covered)(d =>
         !pickedIds(d.id) && members.exists { case (rect, tester) =>
-          d.rect.minDist(rect) <= delta && tester.connectedToPacked(d.packedXY) })
+          d.rect.minDist2(rect) <= delta * delta && tester.connectedTo(d.tiles) })
     }
   }
 
@@ -64,8 +64,9 @@ object StandardGreedy {
     CellSet.requireDelta(delta)
     val q = CellSet.of(query)
     if (q.isEmpty) return CoverageResult(Nil, 0)
-    val covered = new CellSet.Cover(q)
-    val members = mutable.ArrayBuffer((CellSet.mbr(q), CellSet.NeighborIndex.packed(CellSet.packXY(q), delta)))
+    val qt = new CellSet.Tiles(q)
+    val covered = new CellSet.Cover(qt)
+    val members = mutable.ArrayBuffer((CellSet.mbr(q), CellSet.NeighborIndex.packed(qt.xy, delta)))
     val picked = mutable.ArrayBuffer.empty[Int]
     val pickedIds = mutable.HashSet.empty[Int]
     var exhausted = false
@@ -73,8 +74,8 @@ object StandardGreedy {
       pick(members, pickedIds, covered) match {
         case Some(d) =>
           picked += d.id; pickedIds += d.id
-          members += ((d.rect, CellSet.NeighborIndex.packed(d.packedXY, delta)))
-          covered.add(d.cells)
+          members += ((d.rect, CellSet.NeighborIndex.packed(d.tiles.xy, delta)))
+          covered.add(d.tiles)
         case None => exhausted = true
       }
     }

@@ -1,6 +1,7 @@
 package repro.core.dits
 
 import repro.core.{CellSet, LongTable, MBR, Point}
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** CJSP result: chosen dataset ids (in pick order) and the total coverage
@@ -68,28 +69,32 @@ object CoverageSearch {
     * distance between two rects is a lower bound on the cell distance
     * (every cell lies inside its node's rect and `mergedRect` holds every
     * merged cell), so a node or dataset whose rect lies farther than δ
-    * from `mergedRect` is pruned before the exact leaf test; nothing
-    * connected is lost. Lemma 4's lower bound prunes nothing more: each
-    * ball contains its rect, so lb ≤ the rect distance.
+    * from `mergedRect` (squared gap > δ²) is pruned before the exact leaf
+    * test; nothing connected is lost. Lemma 4's lower bound prunes
+    * nothing more: each ball contains its rect, so lb ≤ the rect distance.
     */
   def findConnected(root: TreeNode, mergedRect: MBR, merged: CellSet.NeighborIndex,
                     delta: Double, out: mutable.ArrayBuffer[DatasetNode],
                     known: Int => Boolean = _ => false): Unit = {
     val mx = mergedRect.pivotX; val my = mergedRect.pivotY; val mr = mergedRect.radius
-    def near(r: MBR): Boolean = r.minDist(mergedRect) <= delta
+    val d2 = delta * delta
+    def near(r: MBR): Boolean = r.minDist2(mergedRect) <= d2
+    // ub ≤ δ implies the rect test, so the cheaper rect test comes first.
     def go(n: TreeNode): Unit = {
       val r = n.rect
-      if (upperBound(r.pivotX, r.pivotY, r.radius, mx, my, mr) <= delta) // whole subtree connected
-        n.datasets.foreach(d => if (!known(d.id)) out += d)
-      else if (near(r)) n match {
-        case l: Leaf =>
-          var c = 0
-          while (c < l.children.length) {
-            val d = l.children(c)
-            if (near(d.rect) && !known(d.id) && merged.connectedToPacked(d.packedXY)) out += d
-            c += 1
-          }
-        case i: Internal => go(i.left); go(i.right)
+      if (near(r)) {
+        if (upperBound(r.pivotX, r.pivotY, r.radius, mx, my, mr) <= delta) // whole subtree connected
+          n.datasets.foreach(d => if (!known(d.id)) out += d)
+        else n match {
+          case l: Leaf =>
+            var c = 0
+            while (c < l.children.length) {
+              val d = l.children(c)
+              if (near(d.rect) && !known(d.id) && merged.connectedTo(d.tiles)) out += d
+              c += 1
+            }
+          case i: Internal => go(i.left); go(i.right)
+        }
       }
     }
     go(root)
@@ -108,7 +113,7 @@ object CoverageSearch {
     def beats(g: Int, id: Int): Boolean = g > tau || (g == tau && id < best.id)
     cands.foreach { d =>
       if (beats(d.cells.length, d.id) && admit(d)) {
-        val g = covered.gain(d.cells)
+        val g = covered.gain(d.tiles)
         if (beats(g, d.id)) { tau = g; best = d }
       }
     }
@@ -132,15 +137,16 @@ object CoverageSearch {
     CellSet.requireDelta(delta)
     val query = CellSet.of(queryCells)
     if (query.isEmpty) return CoverageResult(Nil, 0)
-    val covered = new CellSet.Cover(query)
-    val picked = mutable.ArrayBuffer.empty[Int]
+    val q = new CellSet.Tiles(query)
+    val covered = new CellSet.Cover(q)
+    val picked = new mutable.ArrayBuilder.ofInt
     val pooled = new LongTable(8) // ids of the datasets ever pooled
     val heap = mutable.PriorityQueue.empty[Entry](byGainThenId)
-    // Pool every dataset directly connected to the cells packed in `xy`
-    // and not pooled yet, keyed on its size until it first reaches the top.
-    def grow(rect: MBR, xy: Array[Long]): Unit = {
+    // Pool every dataset directly connected to `cells` and not pooled
+    // yet, keyed on its size until it first reaches the top.
+    def grow(rect: MBR, cells: CellSet.Tiles): Unit = {
       val found = mutable.ArrayBuffer.empty[DatasetNode]
-      findConnected(index.root, rect, CellSet.NeighborIndex.packed(xy, delta), delta, found,
+      findConnected(index.root, rect, CellSet.NeighborIndex.packed(cells.xy, delta), delta, found,
                     id => pooled.find(id) >= 0)
       found.foreach { d =>
         pooled.insert(d.id)
@@ -148,18 +154,18 @@ object CoverageSearch {
       }
     }
 
-    grow(CellSet.mbr(query), CellSet.packXY(query))
+    grow(CellSet.mbr(query), q)
     while (picked.length < k && heap.nonEmpty) {
       val e = heap.dequeue()
       if (e.round < picked.length) { // stale: re-evaluate against R
-        e.gain = covered.gain(e.d.cells); e.round = picked.length
+        e.gain = covered.gain(e.d.tiles); e.round = picked.length
         heap.enqueue(e)
       } else {
-        picked += e.d.id
-        covered.add(e.d.cells)
-        if (picked.length < k) grow(e.d.rect, e.d.packedXY)
+        picked.addOne(e.d.id)
+        covered.add(e.d.tiles)
+        if (picked.length < k) grow(e.d.rect, e.d.tiles)
       }
     }
-    CoverageResult(picked.toSeq, covered.size)
+    CoverageResult(ArraySeq.unsafeWrapArray(picked.result()), covered.size)
   }
 }

@@ -17,8 +17,10 @@ final class DatasetNode private (
   var parent: Leaf = _
   def pivot: Point  = rect.pivot
   def radius: Double = rect.radius
-  /** Cell grid coordinates decoded once for repeated connectivity probes. */
-  @transient lazy val packedXY: Array[Long] = CellSet.packXY(cells)
+  /** `cells` as tile runs, built once for the repeated gain and
+    * connectivity probes of the greedy CJSP loops.
+    */
+  @transient lazy val tiles: CellSet.Tiles = new CellSet.Tiles(cells)
   override def toString: String = s"DatasetNode($id, ${cells.length} cells)"
 }
 

@@ -92,7 +92,7 @@ object TopK {
   * One kernel, [[probe]], looks query tiles up in a leaf's flat index
   * (`Leaf.tiles`/`words`/`rank`, then `offs`/`slots`). The query is
   * grouped once into runs of cells that share a 64-cell z-order tile
-  * ([[QueryTiles]]). For each run that meets the leaf's rect, the probe
+  * ([[CellSet.Tiles]]). For each run that meets the leaf's rect, the probe
   * gallops once to the run's tile from the previous position, and
   * records the key position of each query cell in `mask & word`. The
   * Lemma 2 bound is the number of hits; verification reads the posting
@@ -132,43 +132,7 @@ object OverlapSearch {
   /** The key positions in `leaf` of the query cells it holds, ascending. */
   private def hitsOf(leaf: Leaf, query: Array[Long]): Array[Int] = {
     val hits = new Array[Int](math.min(query.length, leaf.keyCount))
-    java.util.Arrays.copyOf(hits, probe(leaf, new QueryTiles(query), hits, 0))
-  }
-
-  /** A sorted, distinct query grouped into runs of cells that share a
-    * tile ([[CellSet.tileOf]]): run `r` is `query(from(r) until from(r +
-    * 1))`, its tile is `tile(r)` (ascending), its [[CellSet.tileMask]]
-    * `mask(r)`, and the cells' bounding box `box(4r until 4r + 4)` =
-    * (min x, max x, min y, max y), inclusive. `xy` is
-    * `CellSet.packXY(query)`.
-    */
-  private final class QueryTiles(val query: Array[Long]) {
-    val xy: Array[Long] = CellSet.packXY(query)
-    val size: Int = {
-      var n = 0; var i = 0
-      while (i < query.length) { i += java.lang.Long.bitCount(CellSet.tileMask(query, i)); n += 1 }
-      n
-    }
-    val tile = new Array[Long](size)
-    val mask = new Array[Long](size)
-    val from = new Array[Int](size + 1)
-    val box = new Array[Int](4 * size)
-    locally {
-      var i = 0; var r = 0
-      while (r < size) {
-        tile(r) = CellSet.tileOf(query(i)); mask(r) = CellSet.tileMask(query, i); from(r) = i
-        val end = i + java.lang.Long.bitCount(mask(r))
-        var x0 = Int.MaxValue; var x1 = Int.MinValue; var y0 = Int.MaxValue; var y1 = Int.MinValue
-        while (i < end) {
-          val x = (xy(i) >> 32).toInt; val y = xy(i).toInt
-          x0 = math.min(x0, x); x1 = math.max(x1, x); y0 = math.min(y0, y); y1 = math.max(y1, y)
-          i += 1
-        }
-        box(4 * r) = x0; box(4 * r + 1) = x1; box(4 * r + 2) = y0; box(4 * r + 3) = y1
-        r += 1
-      }
-      from(size) = i
-    }
+    java.util.Arrays.copyOf(hits, probe(leaf, new CellSet.Tiles(query), hits, 0))
   }
 
   /** Writes to `hits` from `at` the key position in `leaf` of each query
@@ -182,12 +146,12 @@ object OverlapSearch {
     * costs one gallop in `tiles`; runs outside the leaf's first to last
     * tile are not visited.
     */
-  private def probe(leaf: Leaf, q: QueryTiles, hits: Array[Int], at: Int): Int = {
+  private def probe(leaf: Leaf, q: CellSet.Tiles, hits: Array[Int], at: Int): Int = {
     val tiles = leaf.tiles
     if (tiles.length == 0) return 0
     val r = leaf.rect
     val lx = r.minX.toInt; val hx = r.maxX.toInt; val ly = r.minY.toInt; val hy = r.maxY.toInt
-    val box = q.box; val xy = q.xy; val query = q.query
+    val box = q.box; val xy = q.xy; val query = q.cells
     val last = tiles(tiles.length - 1)
     var n = at; var from = 0
     var run = java.util.Arrays.binarySearch(q.tile, 0, q.size, tiles(0))
@@ -251,7 +215,7 @@ object OverlapSearch {
     require(k > 0, "k must be positive")
     if (queryCells.isEmpty) return Seq.empty
     val qRect = CellSet.mbr(queryCells)
-    val qt = new QueryTiles(queryCells)
+    val qt = new CellSet.Tiles(queryCells)
 
     // ---- Filter: collect candidate leaves with bounds (BranchAndBound). --
     // Candidate c is `leaves(c)`, its hits are `hits(starts(c) until

@@ -106,7 +106,7 @@ final class DataCenter(link: SourceLink) {
     // Covered set tracked under a reference grid (finest of the sources)
     // so coverage counting is well-defined across sources.
     val refGrid = link.summaries.map(_.grid).maxBy(_.theta)
-    val covered = new CellSet.Cover(refGrid.cellSetOf(queryLonLat))
+    val covered = new CellSet.Cover(new CellSet.Tiles(refGrid.cellSetOf(queryLonLat)))
     var mergedPts = queryLonLat.distinct
     val picked = mutable.ArrayBuffer.empty[(Int, Int)]
     val excluded = mutable.HashMap.empty[Int, Set[Int]].withDefaultValue(Set.empty)
@@ -120,7 +120,7 @@ final class DataCenter(link: SourceLink) {
       val found = requests.flatMap { case (s, _) =>
         replies(s) match {
           case Some((id, cells)) =>
-            comm.receiveCells(cells.length); Some((s, id, cells, refGrid.cellSetOf(cells)))
+            comm.receiveCells(cells.length); Some((s, id, cells, new CellSet.Tiles(refGrid.cellSetOf(cells))))
           case None              => comm.receiveHits(0); None
         }
       }

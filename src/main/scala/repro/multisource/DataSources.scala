@@ -38,10 +38,11 @@ final class SourceNode(val sourceId: Int, val grid: Grid,
                          delta: Double): Option[(Int, Array[(Double, Double)])] = {
     val merged = toLocalCells(mergedLonLat)
     if (merged.isEmpty) return None
+    val tiles = new CellSet.Tiles(merged)
     val out = mutable.ArrayBuffer.empty[DatasetNode]
     CoverageSearch.findConnected(index.root, CellSet.mbr(merged),
-                                 CellSet.NeighborIndex.packed(CellSet.packXY(merged), delta), delta, out)
-    CoverageSearch.bestGain(out, new CellSet.Cover(merged))(d => !excluded(d.id))
+                                 CellSet.NeighborIndex.packed(tiles.xy, delta), delta, out)
+    CoverageSearch.bestGain(out, new CellSet.Cover(tiles))(d => !excluded(d.id))
       .map(d => (d.id, grid.centres(d.cells)))
   }
 }

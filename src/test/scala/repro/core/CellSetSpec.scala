@@ -10,6 +10,9 @@ import scala.util.Random
   */
 class CellSetSpec extends AnyFunSuite {
 
+  /** A sorted, distinct cell set as the tile runs the kernels read. */
+  private def tiles(cells: Array[Long]): CellSet.Tiles = new CellSet.Tiles(cells)
+
   private def randomCells(rnd: Random, n: Int, span: Int): Array[Long] =
     CellSet.of(Array.fill(n)(Grid.interleave(rnd.nextInt(span), rnd.nextInt(span))))
 
@@ -91,7 +94,7 @@ class CellSetSpec extends AnyFunSuite {
       val a = randomCells(rnd, 1 + rnd.nextInt(40), 64)
       val b = randomCells(rnd, 1 + rnd.nextInt(40), 64)
       val idx = new CellSet.NeighborIndex(a, delta)
-      assert(idx.connectedTo(b) == CellSet.connected(a, b, delta))
+      assert(idx.connectedTo(tiles(b)) == CellSet.connected(a, b, delta))
     }
   }
 
@@ -169,7 +172,7 @@ class CellSetSpec extends AnyFunSuite {
   test("NeighborIndex ≡ CellSet.connected on tiny grids, borders, empty sets and every δ (property)") {
     check(Prop.forAll(cellPairs, deltas) { case ((a, b), delta) =>
       val exp = CellSet.connected(a, b, delta)
-      Prop(new CellSet.NeighborIndex(a, delta).connectedTo(b) == exp) :|
+      Prop(new CellSet.NeighborIndex(a, delta).connectedTo(tiles(b)) == exp) :|
         s"a=${a.map(c => (Grid.cellX(c), Grid.cellY(c))).toSeq} b=${b.map(c => (Grid.cellX(c), Grid.cellY(c))).toSeq} δ=$delta expected $exp"
     })
   }
@@ -184,7 +187,7 @@ class CellSetSpec extends AnyFunSuite {
         val (bx, by) = (ax + dx, ay + dy)
         if (bx >= 0 && by >= 0 && bx <= top && by <= top) {
           val b = Array(Grid.interleave(bx, by))
-          assert(idx.connectedTo(b) == CellSet.connected(a, b, delta), s"a=($ax,$ay) b=($bx,$by) δ=$delta")
+          assert(idx.connectedTo(tiles(b)) == CellSet.connected(a, b, delta), s"a=($ax,$ay) b=($bx,$by) δ=$delta")
         }
       }
     }
@@ -233,7 +236,7 @@ class CellSetSpec extends AnyFunSuite {
   test("NeighborIndex's bounding-box clip ≡ CellSet.connected on probe walks around the box (property)") {
     check(Prop.forAll(boxClipCases) { case (a, b, delta) =>
       val exp = CellSet.connected(a, b, delta)
-      Prop(new CellSet.NeighborIndex(a, delta).connectedTo(b) == exp) :|
+      Prop(new CellSet.NeighborIndex(a, delta).connectedTo(tiles(b)) == exp) :|
         s"a=${a.map(c => (Grid.cellX(c), Grid.cellY(c))).toSeq} b=${b.map(c => (Grid.cellX(c), Grid.cellY(c))).toSeq} δ=$delta expected $exp"
     })
   }
@@ -261,10 +264,10 @@ class CellSetSpec extends AnyFunSuite {
   test("NeighborIndex.packed ≡ new NeighborIndex ≡ CellSet.connected, with the directory within 8·|cells| + 8 buckets (property)") {
     check(Prop.forAll(directoryCases) { case (a, b, delta) =>
       val exp = CellSet.connected(a, b, delta)
-      val packed = CellSet.NeighborIndex.packed(CellSet.packXY(a), delta)
+      val packed = CellSet.NeighborIndex.packed(tiles(a).xy, delta)
       val (side, w, h) = packed.shape
-      Prop(packed.connectedToPacked(CellSet.packXY(b)) == exp &&
-           new CellSet.NeighborIndex(a, delta).connectedTo(b) == exp &&
+      Prop(packed.connectedTo(tiles(b)) == exp &&
+           new CellSet.NeighborIndex(a, delta).connectedTo(tiles(b)) == exp &&
            w.toLong * h <= 8L * a.length + 8 && (side >= math.max(1.0, delta) || side == Long.MaxValue)) :|
         s"|a|=${a.length} b=${b.map(c => (Grid.cellX(c), Grid.cellY(c))).toSeq} δ=$delta expected $exp, side=$side w=$w h=$h"
     })
@@ -343,29 +346,29 @@ class CellSetSpec extends AnyFunSuite {
   test("Cover ≡ a Scala Set[Long] over random add/gain sequences (property)") {
     val ops = Gen.choose(0, 12).flatMap(Gen.listOfN(_, Gen.zip(Gen.oneOf(true, false), coverCells)))
     check(Prop.forAll(coverCells, ops) { (init, ops) =>
-      val cover = new CellSet.Cover(init)
+      val cover = new CellSet.Cover(tiles(init))
       var ref = init.toSet
       // Each op checks its gain against the set; an add then checks that
       // the same cells gain 0 and that size is |∪|.
       val bad = (cover.size == init.length) +: ops.map { case (isAdd, d) =>
-        val ok = cover.gain(d) == d.count(c => !ref(c))
-        if (isAdd) { cover.add(d); ref ++= d; ok && cover.gain(d) == 0 && cover.size == ref.size } else ok
-      } :+ (cover.gain(init) == 0 && cover.gain(Array.emptyLongArray) == 0 && cover.size == ref.size)
+        val ok = cover.gain(tiles(d)) == d.count(c => !ref(c))
+        if (isAdd) { cover.add(tiles(d)); ref ++= d; ok && cover.gain(tiles(d)) == 0 && cover.size == ref.size } else ok
+      } :+ (cover.gain(tiles(init)) == 0 && cover.gain(tiles(Array.emptyLongArray)) == 0 && cover.size == ref.size)
       Prop(!bad.contains(false)) :|
         s"|init|=${init.length} ops=${ops.map { case (a, d) => (a, d.length) }} checks=$bad"
     })
   }
 
   test("Cover keeps every tile through table growth: one cell per tile, then the tiles filled") {
-    val tiles = 5000L
-    val one = Array.tabulate(tiles.toInt)(t => (t.toLong << 6) | (t % 64))
-    val cover = new CellSet.Cover(Array.emptyLongArray)
-    assert(cover.size == 0 && cover.gain(one) == tiles)
-    one.grouped(7).foreach(cover.add)
-    assert(cover.size == tiles && cover.gain(one) == 0)
-    val full = Array.tabulate(tiles.toInt * 64)(_.toLong)
-    assert(cover.gain(full) == 63 * tiles)
-    cover.add(full)
-    assert(cover.size == 64 * tiles && cover.gain(full) == 0 && cover.gain(Array(64 * tiles)) == 1)
+    val n = 5000L
+    val one = Array.tabulate(n.toInt)(t => (t.toLong << 6) | (t % 64))
+    val cover = new CellSet.Cover(tiles(Array.emptyLongArray))
+    assert(cover.size == 0 && cover.gain(tiles(one)) == n)
+    one.grouped(7).foreach(g => cover.add(tiles(g)))
+    assert(cover.size == n && cover.gain(tiles(one)) == 0)
+    val full = Array.tabulate(n.toInt * 64)(_.toLong)
+    assert(cover.gain(tiles(full)) == 63 * n)
+    cover.add(tiles(full))
+    assert(cover.size == 64 * n && cover.gain(tiles(full)) == 0 && cover.gain(tiles(Array(64 * n))) == 1)
   }
 }

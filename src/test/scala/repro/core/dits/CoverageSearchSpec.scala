@@ -209,7 +209,7 @@ class CoverageSearchSpec extends AnyFunSuite {
     } yield (in, covered, admitted.toSet, order)
     val prop = Prop.forAllNoShrink(cases) { case (in, covered, admitted, order) =>
       val cands = new Random(order).shuffle(in.ds.map { case (id, cs) => DatasetNode(id, cs) })
-      val got = CoverageSearch.bestGain(cands, new CellSet.Cover(covered))(d => admitted(d.id)).map(_.id)
+      val got = CoverageSearch.bestGain(cands, new CellSet.Cover(new CellSet.Tiles(covered)))(d => admitted(d.id)).map(_.id)
       val exp = in.ds.filter(d => admitted(d._1)).map { case (id, cs) => (CellSet.marginalGain(cs, covered), -id) }
         .maxOption.map(-_._2)
       Prop(got == exp) :| s"got=$got brute=$exp"
@@ -418,5 +418,31 @@ class CoverageSearchSpec extends AnyFunSuite {
     }
     val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(1000), prop)
     assert(res.passed, res.status.toString)
+  }
+
+  /** The rect tests of FindConnectSet and SG compare squared gaps with δ²
+    * on a θ = 28 grid, where squared gaps pass 2^53: single-cell datasets
+    * at exactly δ from the query's corner cell (on an axis and on a 3-4-5
+    * diagonal, up to 2^27 cells away) and one cell farther. Each engine
+    * and FindConnectSet must keep exactly those within δ of the query or
+    * of an earlier pick.
+    */
+  test("the squared rect test keeps datasets exactly δ away on a θ = 28 grid") {
+    val top = (1 << 28) - 1
+    val query = CellSet.of(Seq(Grid.interleave(top, top), Grid.interleave(top - 1, top)))
+    for (delta <- Seq(0.0, 1.0, 5.0, 7.9, 8.0, 5.0 * (1 << 25), (1 << 27).toDouble, Double.PositiveInfinity)) {
+      val d = if (delta.isInfinite) 1 << 27 else delta.toInt
+      val steps = Seq((d, 0), (0, d), (3 * d / 5, 4 * d / 5), (d + 1, 0), (0, d + 2), (3 * d / 5 + 1, 4 * d / 5), (1, 1))
+      val ds = steps.zipWithIndex.map { case ((dx, dy), id) => id -> Array(Grid.interleave(top - dx, top - dy)) }
+      val in = Instance(ds.toIndexedSeq, query, delta, ds.length, 3)
+      val ix = DitsLocal.build(in.ds, in.capacity)
+      val exp = referenceGreedy(in)
+      assert(StandardGreedy.sg(in.ds, query, delta, in.k) == exp, in)
+      assert(StandardGreedy.sgDits(ix, query, delta, in.k) == exp, in)
+      assert(CoverageSearch.search(ix, query, delta, in.k) == exp, in)
+      val found = scala.collection.mutable.ArrayBuffer.empty[DatasetNode]
+      CoverageSearch.findConnected(ix.root, CellSet.mbr(query), new CellSet.NeighborIndex(query, delta), delta, found)
+      assert(found.map(_.id).sorted == ds.collect { case (id, cs) if CellSet.connected(cs, query, delta) => id }, in)
+    }
   }
 }
