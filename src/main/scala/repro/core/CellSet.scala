@@ -291,15 +291,19 @@ object CellSet {
     private val offs = new Array[Int](w * h + 1)
     private val xs = new Array[Int](xy.length)
     private val ys = new Array[Int](xy.length)
-    locally { // counting sort: sizes, running ends, then each member placed below its bucket's end
+    locally { // counting sort: buckets and sizes, running ends, then each member placed below its bucket's end
+      val bucket = new Array[Int](xy.length)
       var i = 0
-      while (i < xy.length) { offs(bucket(xy(i))) += 1; i += 1 }
+      while (i < xy.length) { // members lie inside the box, so `/` is the floor
+        bucket(i) = ((xy(i).toInt.toLong - ly) / side * w + ((xy(i) >> 32).toInt.toLong - lx) / side).toInt
+        offs(bucket(i)) += 1; i += 1
+      }
       var n = 1
       while (n < w * h) { offs(n) += offs(n - 1); n += 1 }
       offs(w * h) = xy.length
       while (i > 0) {
         i -= 1
-        val b = bucket(xy(i)); offs(b) -= 1
+        val b = bucket(i); offs(b) -= 1
         xs(offs(b)) = (xy(i) >> 32).toInt; ys(offs(b)) = xy(i).toInt
       }
     }
@@ -308,7 +312,6 @@ object CellSet {
     private def span(lo: Int, hi: Int, s: Long): Long = if (lo > hi) 0 else (hi.toLong - lo) / s + 1
     private def col(x: Int): Long = Math.floorDiv(x.toLong - lx, side)
     private def row(y: Int): Long = Math.floorDiv(y.toLong - ly, side)
-    private def bucket(p: Long): Int = (row(p.toInt) * w + col((p >> 32).toInt)).toInt
 
     /** The directory's side, columns and rows, and a cell's bucket column and row. */
     private[core] def shape: (Long, Int, Int) = (side, w, h)

@@ -445,4 +445,127 @@ class CoverageSearchSpec extends AnyFunSuite {
       assert(found.map(_.id).sorted == ds.collect { case (id, cs) if CellSet.connected(cs, query, delta) => id }, in)
     }
   }
+
+  private def at(xys: (Int, Int)*): Array[Long] = CellSet.of(xys.map { case (x, y) => Grid.interleave(x, y) })
+
+  /** CoverageSearch on a hand-built world equals SG and the reference
+    * greedy, and makes the picks `expected` that the scenario is built for.
+    */
+  private def assertPicks(in: Instance, expected: Seq[Int]): Unit = {
+    val got = CoverageSearch.search(DitsLocal.build(in.ds, in.capacity), in.query, in.delta, in.k)
+    assert(got == StandardGreedy.sg(in.ds, in.query, in.delta, in.k), in)
+    assert(got == referenceGreedy(in), in)
+    assert(got.picked == expected, in)
+  }
+
+  /** δ = 1, one leaf. Query (10,10); pick A (id 1) is an L from (11,10)
+    * to (14,13), pick B (id 2) the bar (10,11)–(10,15). Dataset 0's rect
+    * lies within δ of both picks' rects but not of the query's, so A's walk
+    * and then B's offer it: it is pending on [B, A] when it reaches the top.
+    * `onlyB` touches B's bar only, `onlyA` touches A's L only.
+    */
+  test("a pending dataset near two picks is tested against both: connected only to the second, or only to the first") {
+    val q = at((10, 10))
+    val a = at((11, 10), (12, 10), (13, 10), (14, 10), (14, 11), (14, 12), (14, 13))
+    val b = at((10, 11), (10, 12), (10, 13), (10, 14), (10, 15))
+    val onlyB = at((11, 13), (12, 13))
+    val onlyA = at((12, 13), (13, 13))
+    for (d <- Seq(onlyB, onlyA)) {
+      assert(CellSet.connected(d, b, 1.0) == (d eq onlyB) && CellSet.connected(d, a, 1.0) == (d eq onlyA))
+      assertPicks(Instance(IndexedSeq(1 -> a, 2 -> b, 0 -> d), q, 1.0, 3, 5), Seq(1, 2, 0))
+    }
+  }
+
+  /** δ = 12, a leaf per dataset. Dataset 7 (one cell at (14,3)) lies in
+    * the query's rect but farther than δ from both query cells, so the
+    * query's walk leaves it pending. The pick P (id 3, the bar (5,0)–(9,0))
+    * has a Lemma 4 upper bound ≤ δ to it, so P's walk pools it wholesale;
+    * only that makes it a candidate, since its pending test is against the
+    * query alone.
+    */
+  test("a pending dataset that a later pick's wholesale subtree pools is picked") {
+    val q = at((0, 0), (30, 0))
+    val p = at((5, 0), (6, 0), (7, 0), (8, 0), (9, 0))
+    val d = at((14, 3))
+    val pd = DatasetNode(7, d); val pp = DatasetNode(3, p)
+    assert(!CellSet.connected(d, q, 12.0) && CellSet.connected(d, p, 12.0))
+    assert(pd.rect.minDist2(CellSet.mbr(q)) <= 144 &&
+      CoverageSearch.upperBound(pd.rect.pivotX, pd.rect.pivotY, pd.rect.radius,
+                                pp.rect.pivotX, pp.rect.pivotY, pp.rect.radius) <= 12.0)
+    assertPicks(Instance(IndexedSeq(7 -> d, 3 -> p), q, 12.0, 2, 1), Seq(3, 7))
+  }
+
+  /** δ = 1, one leaf. A (id 9) holds the query's 3 cells and 2 more, so it
+    * tops the heap first and is pooled with gain 2; X (id 5, 4 cells) is
+    * picked. X's walk leaves B (id 1, 2 cells touching X only) pending with
+    * key 2: B ties A's gain and has the smaller id, so B must leave the heap
+    * before A's pooled entry, fresh or not.
+    */
+  test("a pending dataset with a smaller id wins the tie against a fresh pooled top") {
+    val q = at((10, 10), (11, 10), (12, 10))
+    val a = at((10, 10), (11, 10), (12, 10), (10, 11), (11, 11))
+    val x = at((13, 10), (14, 10), (15, 10), (16, 10))
+    val b = at((16, 11), (17, 11))
+    assertPicks(Instance(IndexedSeq(9 -> a, 5 -> x, 1 -> b), q, 1.0, 2, 5), Seq(5, 1))
+  }
+
+  /** δ = 1, one leaf. D (id 4, the bar (12,12)–(17,12)) lies within δ of
+    * the query's rect, not of its cells, and is larger than A (id 6), so it
+    * reaches the top first, fails its test and is dropped. A touches both
+    * the query and D, so A's walk must offer D again.
+    */
+  test("a dropped pending dataset is offered again by a later pick's walk") {
+    val q = at((10, 10), (10, 14))
+    val d = at((12, 12), (13, 12), (14, 12), (15, 12), (16, 12), (17, 12))
+    val a = at((11, 10), (12, 10), (12, 11))
+    assert(!CellSet.connected(d, q, 1.0) && CellSet.connected(d, a, 1.0))
+    assertPicks(Instance(IndexedSeq(4 -> d, 6 -> a), q, 1.0, 2, 5), Seq(6, 4))
+  }
+
+  /** Worlds where rects are loose: each dataset and the query are 1–3
+    * short strokes scattered over a 2^θ grid (θ ∈ {3, 4, 5}), so many
+    * datasets lie within δ of a query's or pick's rect without touching its
+    * cells. Such a dataset is pending, often dropped, and offered again by
+    * later picks. Leaves of one or two datasets and δ up to 10 let Lemma 4
+    * pool whole subtrees (one holding a pending dataset is rare here; the
+    * hand-built test above has one). Copies under other ids tie gains.
+    */
+  private val looseWorlds: Gen[Instance] = for {
+    theta <- Gen.oneOf(3, 4, 5)
+    top = (1 << theta) - 1
+    stroke = for {
+      x <- Gen.choose(0, top); y <- Gen.choose(0, top)
+      steps <- Gen.choose(0, 3).flatMap(Gen.listOfN(_, Gen.zip(Gen.choose(-1, 1), Gen.choose(-1, 1))))
+    } yield steps.scanLeft((x, y)) { case ((x, y), (dx, dy)) =>
+      (math.min(top, math.max(0, x + dx)), math.min(top, math.max(0, y + dy))) }
+    scattered = Gen.choose(1, 3).flatMap(Gen.listOfN(_, stroke)).map(s => at(s.flatten: _*))
+    query <- scattered
+    n <- Gen.choose(2, 16)
+    ids <- Gen.pick(n, 0 until 40)
+    idOrder <- Gen.long
+    fresh <- Gen.listOfN(n, scattered)
+    copyOf <- Gen.listOfN(n, Gen.frequency(4 -> Gen.const(-1), 1 -> Gen.choose(0, n - 1)))
+    delta <- Gen.oneOf(0.0, 1.0, 1.5, 2.0, 3.0, 6.0, 10.0)
+    k <- Gen.oneOf(1, 2, n / 2, n, n + 3)
+    capacity <- Gen.oneOf(1, 2, 3, 5)
+  } yield {
+    val cells = fresh.toArray
+    for (i <- 0 until n if copyOf(i) >= 0 && copyOf(i) < i) cells(i) = cells(copyOf(i))
+    Instance(new Random(idOrder).shuffle(ids.toIndexedSeq).zip(cells), query, delta, k, capacity)
+  }
+
+  test("CoverageSearch's deferred δ-tests ≡ SG ≡ a reference greedy on worlds of loose rects (property)") {
+    var loose = 0 // worlds with a dataset within δ of the query's rect but not of its cells
+    val prop = Prop.forAll(looseWorlds) { in =>
+      val qr = CellSet.mbr(in.query)
+      if (in.ds.exists { case (_, cs) => CellSet.mbr(cs).minDist2(qr) <= in.delta * in.delta &&
+                                         !CellSet.connected(cs, in.query, in.delta) }) loose += 1
+      val got = CoverageSearch.search(DitsLocal.build(in.ds, in.capacity), in.query, in.delta, in.k)
+      val (sg, exp) = (StandardGreedy.sg(in.ds, in.query, in.delta, in.k), referenceGreedy(in))
+      Prop(got == sg) :| s"CoverageSearch=$got SG=$sg" && Prop(got == exp) :| s"CoverageSearch=$got reference=$exp"
+    }
+    val res = PropTest.check(PropTest.Parameters.default.withMinSuccessfulTests(1000), prop)
+    assert(res.passed, res.status.toString)
+    assert(loose >= 300, s"only $loose worlds had a rect-near, unconnected dataset")
+  }
 }
