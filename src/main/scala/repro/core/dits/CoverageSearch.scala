@@ -27,27 +27,28 @@ final case class CoverageResult(picked: Seq[Int], coverage: Int)
   * pick's own small rect, finds every candidate (the *frontier*).
   *
   * The pick is the connected dataset of maximum marginal gain (Eq. 3),
-  * ties to the smaller id, chosen lazily (CELF): each candidate has one
-  * entry in a max-heap on (gain desc, id asc), keyed first on its size
-  * `|S_D|`, so finding it computes no gain, and no exact δ-test either: a
-  * dataset a walk finds near but not wholesale is *pending* on the sources
-  * (query or picks) whose walks found it. Only at the top is it tested
-  * against their NeighborIndexes, each built on first use. If one
-  * connects, it is pooled and goes back with its seed key; if none does,
-  * it is dropped until a later pick's walk offers it again. A later walk
-  * adds its source to a pending entry, or pools it when wholesale. On
-  * `cjsp-k50` (12 queries, k = 50) this runs 2,485 δ-tests, not 17,480.
+  * ties to the smaller id, chosen lazily (CELF): each dataset a walk finds
+  * gets one entry in a max-heap on (gain desc, id asc), keyed first on
+  * `|S_D|`, so finding it computes no gain and no exact δ-test. Unless
+  * wholesale it is *pending*: only at the top is it tested, newest first,
+  * against the NeighborIndex (built on first use) of each source (query or
+  * pick) not yet tested whose rect is near its own. If one connects, it is
+  * pooled and goes back with its seed key; else it is dropped until a later
+  * walk offers it again. An entry in the heap or picked is *live*; a walk
+  * needs nothing from it, so it skips every subtree whose datasets are all
+  * live (a count per node, kept along the parent pointers). A `cjsp-k50` pass
+  * runs 2,485 δ-tests (not 17,480) and 19,845 walk reports (not 156,166).
   *
   * The gain `|S_D \ R|` never exceeds `|S_D|` and never rises as R grows,
   * so every key bounds its entry's true gain from above; and each dataset
-  * connected to the merged set has an entry, pooled or pending on a source
-  * it is connected to. So a stale top is re-evaluated and pushed back, and
-  * a top whose gain is from the current round beats every other entry,
-  * ties included. (Any other entry has a key below the top's, so a smaller
-  * true gain, or an equal key and a larger id, so a true gain that is at
-  * most equal and loses the tie.) The picks are thus exactly SG's. R is a
-  * [[CellSet.Cover]], as in SG: a gain costs one probe per 8×8 tile of
-  * `S_D`, and a pick sets bits in place instead of copying R.
+  * connected to the merged set has an entry, pooled or pending with a near
+  * untested source it is connected to. So a stale top is re-evaluated and
+  * pushed back, and a top whose gain is from the current round beats every
+  * other entry, ties included. (Any other entry has a key below the top's,
+  * so a smaller true gain, or an equal key and a larger id, so a true gain
+  * that is at most equal and loses the tie.) The picks are thus exactly
+  * SG's. R is a [[CellSet.Cover]], as in SG: a gain costs one probe per
+  * 8×8 tile of `S_D`, and a pick sets bits in place instead of copying R.
   *
   * Because every pick is directly connected to the *merged* set, the
   * result is directly-or-indirectly connected to the query (Defs. 7–9).
@@ -67,9 +68,10 @@ object CoverageSearch {
     * of a subtree that Lemma 4 connects wholesale (ub ≤ δ) and `(d, false)`
     * for each other dataset whose rect lies within δ of `mergedRect`
     * (squared gap ≤ δ²). The rect distance bounds the cell distance from
-    * below (`mergedRect` holds every merged cell), so none left out connects.
+    * below (`mergedRect` holds every merged cell), so none left out connects
+    * but those of the subtrees it does not enter because `skip` holds.
     */
-  private[dits] def walkNear(root: TreeNode, mergedRect: MBR, delta: Double)
+  private[dits] def walkNear(root: TreeNode, mergedRect: MBR, delta: Double, skip: TreeNode => Boolean = _ => false)
                             (f: (DatasetNode, Boolean) => Unit): Unit = {
     val mx = mergedRect.pivotX; val my = mergedRect.pivotY; val mr = mergedRect.radius
     val d2 = delta * delta
@@ -77,17 +79,11 @@ object CoverageSearch {
     // ub ≤ δ implies the rect test, so the cheaper rect test comes first.
     def go(n: TreeNode): Unit = {
       val r = n.rect
-      if (near(r)) {
+      if (!skip(n) && near(r)) {
         if (upperBound(r.pivotX, r.pivotY, r.radius, mx, my, mr) <= delta) // whole subtree connected
           n.datasets.foreach(f(_, true))
         else n match {
-          case l: Leaf =>
-            var c = 0
-            while (c < l.children.length) {
-              val d = l.children(c)
-              if (near(d.rect)) f(d, false)
-              c += 1
-            }
+          case l: Leaf     => l.children.foreach(d => if (near(d.rect)) f(d, false))
           case i: Internal => go(i.left); go(i.right)
         }
       }
@@ -126,18 +122,17 @@ object CoverageSearch {
     Option(best)
   }
 
-  /** A candidate and its gain as of round `round` (−1: the seed `|S_D|`).
-    * Until `pooled`, `from` holds the sources whose walks found it near (it
-    * is *pending*), or is empty once it was dropped and left the heap.
+  /** A candidate and its gain as of round `round` (−1: the seed `|S_D|`);
+    * until `pooled`, pending on the sources from `checked` on.
     */
-  private final class Entry(val d: DatasetNode) {
+  private final class Entry(val d: DatasetNode, var checked: Int) {
     var gain: Int = d.cells.length; var round: Int = -1
-    var pooled = false; var from: List[Source] = Nil
+    var pooled = false; var live = false
   }
 
   /** The query or a pick, with its δ-connectivity tester built on first use. */
-  private final class Source(cells: CellSet.Tiles, delta: Double) {
-    lazy val index: CellSet.NeighborIndex = CellSet.NeighborIndex.packed(cells.xy, delta)
+  private final class Source(val rect: MBR, cells: CellSet.Tiles, delta: Double, stats: SearchStats) {
+    lazy val index: CellSet.NeighborIndex = { stats.indexBuilds += 1; CellSet.NeighborIndex.packed(cells.xy, delta) }
   }
 
   /** Max-heap order: larger gain first, then the smaller id. */
@@ -147,7 +142,8 @@ object CoverageSearch {
   /** Greedy coverage search (Algorithm 3). Stops early when no unpicked
     * connected dataset remains; an empty query covers nothing.
     */
-  def search(index: DitsLocal, queryCells: Array[Long], delta: Double, k: Int): CoverageResult = {
+  def search(index: DitsLocal, queryCells: Array[Long], delta: Double, k: Int,
+             stats: SearchStats = new SearchStats): CoverageResult = {
     require(k > 0, "k must be positive")
     CellSet.requireDelta(delta)
     val query = CellSet.of(queryCells)
@@ -158,30 +154,42 @@ object CoverageSearch {
     val entries = mutable.ArrayBuffer.empty[Entry] // one per dataset ever offered
     val slots = new LongTable(8) // dataset id → position of its entry
     val heap = mutable.PriorityQueue.empty[Entry](byGainThenId)
-    // Offer every unpooled dataset near `rect`: pooled if wholesale, else
-    // pending on `cells`; a dataset not in the heap enters with `|S_D|`.
+    val sources = mutable.ArrayBuffer.empty[Source] // the query, then each pick
+    // By node `pos`: the datasets below it that hold a live entry, and all of them.
+    val totals = index.subtreeTotals
+    val live = new Array[Int](totals.length)
+    def setLive(e: Entry, on: Boolean): Unit = {
+      e.live = on
+      var n: TreeNode = e.d.parent
+      while (n != null) { live(n.pos) += (if (on) 1 else -1); n = n.parent }
+    }
+    def full(n: TreeNode): Boolean =
+      { stats.nodesVisited += 1; live(n.pos) == totals(n.pos) } && { stats.skippedLive += 1; true }
+    // Offer each dataset near `rect` that holds no live entry (pooled if
+    // wholesale, else pending), skipping subtrees that hold no other.
     def grow(rect: MBR, cells: CellSet.Tiles): Unit = {
-      val src = new Source(cells, delta)
-      walkNear(index.root, rect, delta) { (d, whole) =>
+      stats.rounds += 1
+      sources += new Source(rect, cells, delta, stats)
+      walkNear(index.root, rect, delta, full) { (d, whole) =>
+        stats.reported += 1
         var s = slots.find(d.id)
-        if (s < 0) { s = slots.insert(d.id); slots.setValue(s, entries.length); entries += new Entry(d) }
+        if (s < 0) { s = slots.insert(d.id); slots.setValue(s, entries.length); entries += new Entry(d, sources.length - 1) }
         val e = entries(slots.value(s).toInt)
-        if (!e.pooled) {
-          if (e.from.isEmpty) heap.enqueue(e)
-          if (whole) { e.pooled = true; e.from = Nil } else e.from ::= src
-        }
+        if (!e.live) { setLive(e, true); e.pooled = whole; heap.enqueue(e) }
       }
     }
 
     grow(CellSet.mbr(query), q)
     while (picked.length < k && heap.nonEmpty) {
-      val e = heap.dequeue()
-      if (!e.pooled) { // pending: the exact δ-test against the sources that found it
-        e.pooled = e.from.exists(_.index.connectedTo(e.d.tiles))
-        e.from = Nil
-        if (e.pooled) heap.enqueue(e) // else dropped, until a later pick offers it again
+      val e = heap.dequeue(); stats.heapPops += 1
+      if (!e.pooled) { // pending: the exact δ-test against each near source, newest first
+        e.pooled = sources.view.drop(e.checked).reverseIterator.exists { s =>
+          s.rect.minDist2(e.d.rect) <= delta * delta && { stats.deltaTests += 1; s.index.connectedTo(e.d.tiles) }
+        }
+        e.checked = sources.length
+        if (e.pooled) heap.enqueue(e) else setLive(e, false) // dropped, until a later walk offers it again
       } else if (e.round < picked.length) { // stale: re-evaluate against R
-        e.gain = covered.gain(e.d.tiles); e.round = picked.length
+        e.gain = covered.gain(e.d.tiles); e.round = picked.length; stats.gainEvals += 1
         heap.enqueue(e)
       } else {
         picked.addOne(e.d.id)
@@ -191,4 +199,11 @@ object CoverageSearch {
     }
     CoverageResult(ArraySeq.unsafeWrapArray(picked.result()), covered.size)
   }
+}
+
+/** Work counts of [[CoverageSearch.search]], summed over the calls given it;
+  * `nodesVisited` counts every node a walk reached, `skippedLive` included.
+  */
+final class SearchStats {
+  var nodesVisited, skippedLive, reported, deltaTests, indexBuilds, gainEvals, heapPops, rounds = 0L
 }

@@ -39,6 +39,21 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
   /** Total posting-list entries across all leaves. */
   def postingEntries: Long = root.leaves.map(_.slots.length.toLong).sum
 
+  /** Each node's dataset total at its preorder [[TreeNode.pos]], numbered on
+    * first use after a build or a write; one volatile write publishes both.
+    */
+  @volatile private var totals: Array[Int] = _
+  private[dits] def subtreeTotals: Array[Int] = Option(totals).getOrElse {
+    val t = new Array[Int](nodeCount)
+    var next = 0
+    def number(n: TreeNode): Int = {
+      n.pos = next; next += 1
+      t(n.pos) = n match { case l: Leaf => l.children.length; case i: Internal => number(i.left) + number(i.right) }
+      t(n.pos)
+    }
+    number(root); totals = t; t
+  }
+
   /** Appendix C insert: descend to the leaf whose pivot is nearest, add
     * the dataset node, and refresh MBRs up to the root. A leaf that is
     * already full is replaced by a subtree built over its children plus
@@ -46,6 +61,7 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
     */
   def insert(d: DatasetNode): Unit = {
     register(d)
+    totals = null
     @tailrec def descend(n: TreeNode): Leaf = n match {
       case l: Leaf     => l
       case i: Internal =>
@@ -73,6 +89,7 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
   def delete(id: Int): Unit = {
     val d = byId.remove(id)
       .getOrElse(throw new NoSuchElementException(s"dataset $id not indexed"))
+    totals = null
     val leaf = d.parent
     leaf.remove(d)
     if (leaf.children.nonEmpty) {

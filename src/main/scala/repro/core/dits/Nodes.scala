@@ -16,7 +16,6 @@ final class DatasetNode private (
 ) extends Serializable {
   var parent: Leaf = _
   def pivot: Point  = rect.pivot
-  def radius: Double = rect.radius
   /** `cells` as tile runs, built once for the repeated gain and
     * connectivity probes of the greedy CJSP loops.
     */
@@ -39,8 +38,9 @@ object DatasetNode {
 sealed trait TreeNode extends Serializable {
   var rect: MBR
   var parent: Internal = _
+  /** Preorder position, numbered by [[DitsLocal.subtreeTotals]]. */
+  private[dits] var pos: Int = 0
   def pivot: Point   = rect.pivot
-  def radius: Double = rect.radius
   /** The leaves of this subtree, left to right. */
   def leaves: Iterator[Leaf] = this match {
     case l: Leaf     => Iterator.single(l)
